@@ -21,8 +21,6 @@
 #include "eval/PairRunner.h"
 #include "parser/Parser.h"
 #include "server/VerifyServer.h"
-#include "solver/BoundedSolver.h"
-#include "solver/CachingSolver.h"
 #include "solver/Portfolio.h"
 #include "solver/RemotePool.h"
 #include "solver/ShardPool.h"
@@ -33,16 +31,13 @@
 #include "support/Transport.h"
 #include "vcgen/Verifier.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include <signal.h>
 #include <unistd.h>
@@ -54,29 +49,14 @@ namespace {
 struct CliOptions {
   std::string Command;
   std::string File;
-  std::string SolverName = "z3";
+  /// Every verdict- or report-relevant knob, shared with the daemon.
+  VerifyConfig Config;
   std::string OracleName = "solver";
   std::string Semantics = "relaxed";
-  /// Tier chain for the portfolio discharge pipeline (empty = the
-  /// classic single --solver= backend).
-  std::vector<TierKind> Pipeline;
-  /// Per-query quantifier-step budget of the budgeted bounded tier.
-  uint64_t BoundedSteps = 200'000;
-  bool BoundedStepsSet = false; ///< --bounded-steps= was passed explicitly
-  /// Conflict-driven-search knobs of the bounded backend/tier. All three
-  /// are verdict-irrelevant (learning only skips refuted candidates) but
-  /// fingerprint-relevant: runs differing in any of them never share
-  /// persistent-cache entries.
-  bool BoundedLearning = true;
-  bool BoundedRestarts = true;
-  uint64_t BoundedMaxNogoods = 10'000;
   /// Obligation id ("o:3" / "r:5") to explain after a verify run.
   std::string Explain;
-  bool SolverStats = false;
   uint64_t Seed = 1;
   unsigned Runs = 16;
-  unsigned Jobs = 1;
-  unsigned SolverJobs = 1;
   /// Worker processes of the sharded discharge tier (0 = in-process).
   unsigned Shards = 0;
   /// Remote discharge worker endpoints (`--remote-workers=host:port,...`);
@@ -88,12 +68,6 @@ struct CliOptions {
   /// This executable's path — respawned as the shard workers.
   std::string ExePath;
   size_t ArrayLen = 8;
-  /// Global wall-clock budget for `verify` in milliseconds (< 0 = none).
-  /// Obligations past it settle as gave-ups with reason "deadline", so an
-  /// expired run exits 3, never hangs.
-  int64_t TimeoutMs = -1;
-  /// Per-VC budget in milliseconds (< 0 = none).
-  int64_t VcTimeoutMs = -1;
   /// Directory of the persistent verdict cache ("" = off).
   std::string CacheDir;
   /// Verify-on-hit sampling rate in parts per million (0 = off).
@@ -102,9 +76,6 @@ struct CliOptions {
   /// Hidden fault-injection spec (see support/FaultInjection.h); also
   /// exported as RELAXC_FAULTS so shard workers inherit it.
   std::string Faults;
-  bool Verbose = false;
-  bool NoSafety = false;
-  bool OriginalOnly = false;
   bool SmtLib = false;
 };
 
@@ -120,7 +91,8 @@ void printUsage() {
       "                            (tiers: simplify, bounded, z3; e.g.\n"
       "                            --pipeline=simplify,bounded,z3)\n"
       "  --bounded-steps=<n>       per-query quantifier-step budget of the\n"
-      "                            budgeted bounded tier (default 200000)\n"
+      "                            bounded tier and of --solver=bounded\n"
+      "                            (default 200000)\n"
       "  --bounded-learning=<on|off>\n"
       "                            conflict-driven nogood learning in the\n"
       "                            bounded search (default on; verdicts\n"
@@ -204,21 +176,6 @@ void printUsage() {
       "(solver gave up or errored)\n");
 }
 
-/// Strict decimal parse: the whole string must be digits. strtoull alone
-/// maps garbage to 0, which for budget flags silently means "unlimited" —
-/// the exact failure the flag exists to prevent.
-bool parseUnsigned(const char *V, uint64_t &Out) {
-  // strtoull alone is too forgiving for a flag value: it skips leading
-  // whitespace, accepts (and silently negates) a minus sign, and wraps on
-  // overflow. A decimal flag must be digits from the first character on.
-  if (*V < '0' || *V > '9')
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  Out = std::strtoull(V, &End, 10);
-  return *End == '\0' && errno != ERANGE;
-}
-
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   if (Argc < 3)
     return false;
@@ -230,63 +187,26 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       size_t N = std::strlen(Prefix);
       return A.compare(0, N, Prefix) == 0 ? A.c_str() + N : nullptr;
     };
-    if (const char *V = Value("--solver=")) {
-      if (!isKnownSolverName(V)) {
-        std::fprintf(stderr,
-                     "relaxc: error: unknown solver '%s' for --solver= "
-                     "(valid choices: %s)\n",
-                     V, knownSolverNamesForDiagnostics().c_str());
-        return false;
-      }
-      Opts.SolverName = V;
-    } else if (const char *V = Value("--pipeline=")) {
-      Result<std::vector<TierKind>> Tiers = parsePipelineSpec(V);
-      if (!Tiers.ok()) {
-        std::fprintf(stderr, "relaxc: error: %s\n",
-                     Tiers.message().c_str());
-        return false;
-      }
-      Opts.Pipeline = *Tiers;
-    } else if (const char *V = Value("--bounded-steps=")) {
-      if (!parseUnsigned(V, Opts.BoundedSteps)) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --bounded-steps value '%s' "
-                     "(expected a decimal step count; 0 = unlimited)\n",
-                     V);
-        return false;
-      }
-      Opts.BoundedStepsSet = true;
-    } else if (const char *V = Value("--bounded-learning=")) {
-      if (std::strcmp(V, "on") != 0 && std::strcmp(V, "off") != 0) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --bounded-learning value '%s' "
-                     "(expected on or off)\n",
-                     V);
-        return false;
-      }
-      Opts.BoundedLearning = std::strcmp(V, "on") == 0;
-    } else if (const char *V = Value("--bounded-restarts=")) {
-      if (std::strcmp(V, "on") != 0 && std::strcmp(V, "off") != 0) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --bounded-restarts value '%s' "
-                     "(expected on or off)\n",
-                     V);
-        return false;
-      }
-      Opts.BoundedRestarts = std::strcmp(V, "on") == 0;
-    } else if (const char *V = Value("--bounded-max-nogoods=")) {
-      if (!parseUnsigned(V, Opts.BoundedMaxNogoods) ||
-          Opts.BoundedMaxNogoods > UINT32_MAX) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --bounded-max-nogoods value '%s' "
-                     "(expected a decimal nogood count; 0 = unlimited)\n",
-                     V);
-        return false;
-      }
-    } else if (const char *V = Value("--explain="))
+    // The CLI's own numeric flags: strict decimals, diagnosed in the
+    // config parser's shape.
+    uint64_t N = 0;
+    auto Number = [&](const char *V, const char *Flag, uint64_t Max,
+                      const char *Expected) {
+      if (parseDecimal(V, N) && N <= Max)
+        return true;
+      std::fprintf(stderr, "relaxc: error: bad %s value '%s' (%s)\n", Flag, V,
+                   Expected);
+      return false;
+    };
+    Result<bool> Took = Opts.Config.parseFlag(A);
+    if (!Took.ok()) {
+      std::fprintf(stderr, "relaxc: error: %s\n", Took.message().c_str());
+      return false;
+    }
+    if (*Took)
+      continue;
+    if (const char *V = Value("--explain="))
       Opts.Explain = V;
-    else if (A == "--solver-stats")
-      Opts.SolverStats = true;
     else if (const char *V = Value("--oracle="))
       Opts.OracleName = V;
     else if (const char *V = Value("--semantics="))
@@ -295,53 +215,17 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       // Strict, like every other numeric flag: bare strtoull mapped
       // --seed=garbage to 0 and --seed=12abc to 12, silently changing
       // which runs a reported failure reproduces.
-      if (!parseUnsigned(V, Opts.Seed)) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --seed value '%s' (expected a "
-                     "decimal seed)\n",
-                     V);
+      if (!Number(V, "--seed", UINT64_MAX, "expected a decimal seed"))
         return false;
-      }
+      Opts.Seed = N;
     } else if (const char *V = Value("--runs=")) {
-      uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > UINT32_MAX) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --runs value '%s' (expected a "
-                     "decimal run count)\n",
-                     V);
+      if (!Number(V, "--runs", UINT32_MAX, "expected a decimal run count"))
         return false;
-      }
       Opts.Runs = static_cast<unsigned>(N);
     } else if (const char *V = Value("--array-len=")) {
-      uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > UINT32_MAX) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --array-len value '%s' (expected a "
-                     "decimal length)\n",
-                     V);
+      if (!Number(V, "--array-len", UINT32_MAX, "expected a decimal length"))
         return false;
-      }
       Opts.ArrayLen = static_cast<size_t>(N);
-    } else if (const char *V = Value("--jobs=")) {
-      uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > 1024) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --jobs value '%s' (expected a "
-                     "decimal worker count <= 1024)\n",
-                     V);
-        return false;
-      }
-      Opts.Jobs = static_cast<unsigned>(N);
-    } else if (const char *V = Value("--solver-jobs=")) {
-      uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > 1024) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --solver-jobs value '%s' (expected "
-                     "a decimal worker count <= 1024)\n",
-                     V);
-        return false;
-      }
-      Opts.SolverJobs = static_cast<unsigned>(N);
     } else if (const char *V = Value("--cache-dir=")) {
       if (*V == '\0') {
         std::fprintf(stderr,
@@ -351,24 +235,15 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       }
       Opts.CacheDir = V;
     } else if (const char *V = Value("--cache-verify=")) {
-      if (!parseUnsigned(V, Opts.CacheVerifyPpm) ||
-          Opts.CacheVerifyPpm > 1'000'000) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --cache-verify value '%s' "
-                     "(expected a parts-per-million rate <= 1000000)\n",
-                     V);
+      if (!Number(V, "--cache-verify", 1'000'000,
+                  "expected a parts-per-million rate <= 1000000"))
         return false;
-      }
+      Opts.CacheVerifyPpm = N;
       Opts.CacheVerifySet = true;
     } else if (const char *V = Value("--shards=")) {
-      uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > 256) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --shards value '%s' (expected a "
-                     "decimal worker count <= 256; 0 = in-process)\n",
-                     V);
+      if (!Number(V, "--shards", 256,
+                  "expected a decimal worker count <= 256; 0 = in-process"))
         return false;
-      }
       Opts.Shards = static_cast<unsigned>(N);
     } else if (const char *V = Value("--remote-workers=")) {
       if (*V == '\0') {
@@ -385,36 +260,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       }
       Opts.Connect = V;
-    } else if (const char *V = Value("--timeout-ms=")) {
-      uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > uint64_t(INT64_MAX)) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --timeout-ms value '%s' (expected "
-                     "a decimal millisecond count)\n",
-                     V);
-        return false;
-      }
-      Opts.TimeoutMs = static_cast<int64_t>(N);
-    } else if (const char *V = Value("--vc-timeout-ms=")) {
-      uint64_t N = 0;
-      if (!parseUnsigned(V, N) || N > uint64_t(INT64_MAX)) {
-        std::fprintf(stderr,
-                     "relaxc: error: bad --vc-timeout-ms value '%s' "
-                     "(expected a decimal millisecond count)\n",
-                     V);
-        return false;
-      }
-      Opts.VcTimeoutMs = static_cast<int64_t>(N);
     } else if (const char *V = Value("--faults=")) {
       // Hidden: deterministic fault injection for the chaos suite.
       Opts.Faults = V;
     }
-    else if (A == "--verbose")
-      Opts.Verbose = true;
-    else if (A == "--no-safety")
-      Opts.NoSafety = true;
-    else if (A == "--original-only")
-      Opts.OriginalOnly = true;
     else if (A == "--smtlib")
       Opts.SmtLib = true;
     else {
@@ -462,25 +311,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   return true;
 }
 
-/// The CLI's conflict-driven-search knobs, applied identically wherever a
-/// BoundedSolverOptions is built (makeSolver, the portfolio config, and
-/// the cache-fingerprint mirror — which must never drift apart).
-void applyBoundedSearchFlags(const CliOptions &Opts, BoundedSolverOptions &BO) {
-  BO.Learning = Opts.BoundedLearning;
-  BO.Restarts = Opts.BoundedRestarts;
-  BO.MaxNogoods = static_cast<uint32_t>(Opts.BoundedMaxNogoods);
-}
-
-std::unique_ptr<Solver> makeSolver(const CliOptions &Opts, AstContext &Ctx) {
-  if (Opts.SolverName == "bounded") {
-    BoundedSolverOptions BO;
-    BO.Jobs = Opts.SolverJobs == 0 ? 1 : Opts.SolverJobs;
-    applyBoundedSearchFlags(Opts, BO);
-    return std::make_unique<BoundedSolver>(BO, &Ctx);
-  }
-  return std::make_unique<Z3Solver>(Ctx.symbols());
-}
-
 std::unique_ptr<Oracle> makeOracle(const CliOptions &Opts, AstContext &Ctx,
                                    Solver &S) {
   if (Opts.OracleName == "identity")
@@ -503,26 +333,6 @@ void printOutcome(const Interner &Syms, const char *Title, const Outcome &O) {
                 O.Observations.size());
   else
     std::printf(" at line %u: %s\n", O.ErrorLoc.Line, O.Reason.c_str());
-}
-
-/// Prints the `--solver-stats` block: per-tier settled/escalated counts,
-/// cache effectiveness, and the bounded tiers' work counters. \p Tiers is
-/// the *effective* chain (after --shards= rewrote the final tier).
-void printSolverStats(const CliOptions &Opts,
-                      const std::vector<TierKind> &Tiers,
-                      const DischargeStats &S, const CachingSolver &Cached,
-                      const PersistentCache *PCache) {
-  std::fputs(
-      renderSolverStats(Opts.SolverName, Tiers, S, &Cached, PCache).c_str(),
-      stdout);
-}
-
-/// Prints the `--solver-stats` per-procedure obligation counts: how many
-/// obligations each procedure's summaries contributed to each pass. With
-/// summary-based generation a procedure called N times still shows up
-/// exactly once here; only cheap instantiation VCs accrue to its callers.
-void printProcObligations(const VerifyReport &Report) {
-  std::fputs(renderProcObligations(Report).c_str(), stdout);
 }
 
 /// Lists every obligation of one procedure's summary verifications
@@ -574,7 +384,7 @@ bool printExplain(const VerifyReport &Report, const std::string &Id,
   const char *PassName = nullptr;
   uint64_t N = 0;
   if (Id.size() > 2 && Id[1] == ':' && (Id[0] == 'o' || Id[0] == 'r') &&
-      parseUnsigned(Id.c_str() + 2, N)) {
+      parseDecimal(Id.c_str() + 2, N)) {
     Pass = Id[0] == 'o' ? &Report.Original : &Report.Relaxed;
     PassName = Id[0] == 'o' ? "|-o" : "|-r";
   }
@@ -636,63 +446,56 @@ bool printExplain(const VerifyReport &Report, const std::string &Id,
 
 //===----------------------------------------------------------------------===//
 // The hidden --discharge-worker mode: one shard of the out-of-process
-// discharge tier. Reads length-prefixed requests on stdin (wire format in
-// solver/ShardPool.h), rebuilds each query in its own AstContext through
+// discharge tier. Reads length-prefixed requests (wire format in
+// solver/ShardPool.h) on stdin, or with --listen=<addr> on accepted
+// socket connections, rebuilds each query in its own AstContext through
 // the ordinary parser (serveShardRequest, server/VerifyServer.h), and
-// writes the verdict frame to stdout. Exits 0 on clean EOF; any framing
-// error is answered with a diagnosed error frame (never a hang or crash)
-// and ends the worker, since the stream position is unrecoverable. With
-// --listen=<addr> the same loop serves socket connections instead.
+// writes the verdict frame back. Any framing error is answered with a
+// diagnosed error frame (never a hang or crash) and ends the channel,
+// since the stream position is unrecoverable.
 //===----------------------------------------------------------------------===//
 
-int runDischargeWorker() {
-  ShardWorkerState W;
+/// Serves shard requests on \p T until EOF (returns 0), a frame error or
+/// a failed send (returns 2). \p W stays warm across calls.
+int serveShardFrames(Transport &T, ShardWorkerState &W) {
   for (;;) {
-    FrameRead F = readFrame(/*Fd=*/0);
+    FrameRead F = T.recvMs(-1);
     if (F.eof())
-      return 0; // clean shutdown: the pool closed our stdin
+      return 0; // clean shutdown: the pool closed its end
     if (!F.ok()) {
-      // Truncated or garbage input: answer with a diagnosed error frame
-      // (best effort) and exit — after a framing error the stream
-      // position is unrecoverable, and continuing could mis-pair
-      // requests with responses.
       ShardResponse Resp;
       Resp.IsError = true;
       Resp.Error = "frame error: " + F.Message;
-      (void)writeFrame(/*Fd=*/1, serializeShardResponse(Resp));
+      (void)T.send(serializeShardResponse(Resp));
       std::fprintf(stderr, "relaxc: discharge worker: %s\n",
                    F.Message.c_str());
       return 2;
     }
     // Chaos-suite crash site: die instead of answering, alternating
     // between vanishing silently and dying mid-frame (garbage partial
-    // header bytes on stdout) — the two shapes a real worker crash has
-    // from the pool's point of view.
+    // header bytes toward the pool) — the two shapes a real worker crash
+    // has from the pool's point of view. Parity of the draw index (how
+    // many requests this worker saw) picks the shape; a worker dies on
+    // its first fire.
     if (FaultRegistry::shouldFail(FaultSite::WorkerExit)) {
-      // Parity of the draw index (how many requests this worker saw)
-      // picks the crash shape; firedCount is always 1 here because a
-      // worker dies on its first fire.
-      FaultRegistry &R = FaultRegistry::instance();
-      if (R.drawCount(FaultSite::WorkerExit) % 2 == 1)
-        (void)!::write(1, "RLXF\xff\xff", 6);
+      if (FaultRegistry::instance().drawCount(FaultSite::WorkerExit) % 2 == 1)
+        (void)!::write(T.sendFd(), "RLXF\xff\xff", 6);
       ::_exit(3);
     }
     ShardResponse Resp = serveShardRequest(W, F.Payload);
     if (FaultRegistry::shouldFail(FaultSite::ResponseDelay))
       std::this_thread::sleep_for(std::chrono::milliseconds(
           FaultRegistry::instance().delayMs()));
-    if (Status S = writeFrame(/*Fd=*/1, serializeShardResponse(Resp));
-        !S.ok())
+    if (!T.send(serializeShardResponse(Resp)).ok())
       return 2; // the pool went away mid-response
   }
 }
 
-/// `--discharge-worker --listen=<addr>`: the socket twin of the stdin
-/// loop, for `--remote-workers=`. Connections are served sequentially
-/// (one remote-pool slot holds one connection at a time); the solver
-/// context stays warm across connections, so a reconnecting pool keeps
-/// its amortized state. A framing error drops only that connection —
-/// the worker keeps listening.
+/// `--discharge-worker --listen=<addr>`, for `--remote-workers=`.
+/// Connections are served sequentially (one remote-pool slot holds one
+/// connection at a time); the solver context stays warm across them, so
+/// a reconnecting pool keeps its amortized state. A framing error drops
+/// only that connection — the worker keeps listening.
 int runDischargeWorkerListen(const std::string &Addr) {
   Result<SocketListener> L = SocketListener::bind(Addr);
   if (!L.ok()) {
@@ -707,39 +510,8 @@ int runDischargeWorkerListen(const std::string &Addr) {
   ShardWorkerState W;
   for (;;) {
     Result<std::unique_ptr<Transport>> CR = L->accept();
-    if (!CR.ok())
-      continue; // transient accept error
-    Transport &T = **CR;
-    for (;;) {
-      FrameRead F = T.recvMs(-1);
-      if (F.eof())
-        break; // the pool dropped this connection; accept the next
-      if (!F.ok()) {
-        ShardResponse Resp;
-        Resp.IsError = true;
-        Resp.Error = "frame error: " + F.Message;
-        (void)T.send(serializeShardResponse(Resp));
-        std::fprintf(stderr, "relaxc: discharge worker: %s\n",
-                     F.Message.c_str());
-        break;
-      }
-      // Same chaos crash site as the pipe loop: die instead of
-      // answering, alternating silent death with a garbage partial
-      // frame, so the socket path's failure shapes match the pipe
-      // path's exactly.
-      if (FaultRegistry::shouldFail(FaultSite::WorkerExit)) {
-        FaultRegistry &R = FaultRegistry::instance();
-        if (R.drawCount(FaultSite::WorkerExit) % 2 == 1)
-          (void)!::write(T.recvFd(), "RLXF\xff\xff", 6);
-        ::_exit(3);
-      }
-      ShardResponse Resp = serveShardRequest(W, F.Payload);
-      if (FaultRegistry::shouldFail(FaultSite::ResponseDelay))
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(FaultRegistry::instance().delayMs()));
-      if (!T.send(serializeShardResponse(Resp)).ok())
-        break;
-    }
+    if (CR.ok()) // else a transient accept error
+      (void)serveShardFrames(**CR, W);
   }
 }
 
@@ -769,28 +541,28 @@ int runServe(int Argc, char **Argv) {
     } else if (const char *V = Value("--cache-dir=")) {
       SO.CacheDir = V;
     } else if (const char *V = Value("--serve-threads=")) {
-      if (!parseUnsigned(V, N) || N == 0 || N > 1024) {
+      if (!parseDecimal(V, N) || N == 0 || N > 1024) {
         std::fprintf(stderr, "relaxc: error: bad --serve-threads value "
                              "'%s' (expected 1..1024)\n", V);
         return 2;
       }
       SO.MaxConnections = static_cast<unsigned>(N);
     } else if (const char *V = Value("--serve-queue=")) {
-      if (!parseUnsigned(V, N) || N == 0 || N > 4096) {
+      if (!parseDecimal(V, N) || N == 0 || N > 4096) {
         std::fprintf(stderr, "relaxc: error: bad --serve-queue value "
                              "'%s' (expected 1..4096)\n", V);
         return 2;
       }
       SO.AcceptBacklog = static_cast<int>(N);
     } else if (const char *V = Value("--serve-frame-timeout-ms=")) {
-      if (!parseUnsigned(V, N) || N > uint64_t(INT32_MAX)) {
+      if (!parseDecimal(V, N) || N > uint64_t(INT32_MAX)) {
         std::fprintf(stderr, "relaxc: error: bad --serve-frame-timeout-ms "
                              "value '%s'\n", V);
         return 2;
       }
       SO.FrameReadTimeoutMs = static_cast<int>(N);
     } else if (const char *V = Value("--serve-max-request-ms=")) {
-      if (!parseUnsigned(V, N) || N > uint64_t(INT64_MAX)) {
+      if (!parseDecimal(V, N) || N > uint64_t(INT64_MAX)) {
         std::fprintf(stderr, "relaxc: error: bad --serve-max-request-ms "
                              "value '%s'\n", V);
         return 2;
@@ -825,23 +597,9 @@ int runConnectVerify(const CliOptions &Opts) {
     return 2;
   }
   VerifyWireRequest Req;
+  static_cast<VerifyConfig &>(Req) = Opts.Config;
   Req.FileName = Opts.File;
   Req.Source = SM.buffer();
-  Req.SolverName = Opts.SolverName;
-  if (!Opts.Pipeline.empty())
-    Req.Pipeline = formatPipeline(Opts.Pipeline);
-  Req.BoundedSteps = Opts.BoundedSteps;
-  Req.BoundedLearning = Opts.BoundedLearning;
-  Req.BoundedRestarts = Opts.BoundedRestarts;
-  Req.BoundedMaxNogoods = Opts.BoundedMaxNogoods;
-  Req.Jobs = Opts.Jobs;
-  Req.SolverJobs = Opts.SolverJobs;
-  Req.TimeoutMs = Opts.TimeoutMs;
-  Req.VcTimeoutMs = Opts.VcTimeoutMs;
-  Req.NoSafety = Opts.NoSafety;
-  Req.OriginalOnly = Opts.OriginalOnly;
-  Req.Verbose = Opts.Verbose;
-  Req.SolverStats = Opts.SolverStats;
   const std::string Wire = serializeVerifyRequest(Req);
 
   for (int Attempt = 0;; ++Attempt) {
@@ -899,43 +657,30 @@ int runConnectVerify(const CliOptions &Opts) {
   }
 }
 
-int runVerify(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
-              DiagnosticEngine &Diags) {
-  std::unique_ptr<Solver> Backend = makeSolver(Opts, Ctx);
-  CachingSolver Cached(*Backend);
-  Verifier V(Ctx, Prog, Cached, Diags);
-  Verifier::Options VO;
-  VO.GenOpts.CheckSafety = !Opts.NoSafety;
-  VO.RunRelaxed = !Opts.OriginalOnly;
-  VO.Jobs = Opts.Jobs == 0 ? 1 : Opts.Jobs;
-  // Arm the deadline as late as possible (right before the run) so flag
-  // parsing and pool creation do not eat into the budget.
-  if (Opts.TimeoutMs >= 0)
-    VO.GlobalDeadline = Deadline::inMs(Opts.TimeoutMs);
-  VO.VcTimeoutMs = Opts.VcTimeoutMs;
-  DischargeStats Stats;
-  VO.StatsOut = &Stats;
-
+/// `verify`: runs \p Plan, adding what only the CLI has — the shard or
+/// remote pool, the on-disk cache with --cache-verify, pool stats and
+/// --explain.
+int runVerify(const CliOptions &Opts, VerifyPlan &Plan, AstContext &Ctx,
+              Program &Prog, DiagnosticEngine &Diags) {
   // --shards=N moves the pipeline's final tier out of process: the tier
   // chain ends in `shard`, and the pool's workers (this same executable
   // in --discharge-worker mode) run the replaced tier. Verdicts are
   // identical to the in-process chain by construction — the workers run
   // the same tiers under the same configuration.
-  std::vector<TierKind> Tiers = Opts.Pipeline;
-  std::unique_ptr<DischargePool> Pool; // must outlive V.run()
+  PortfolioOptions &PO = Plan.Portfolio;
+  std::unique_ptr<DischargePool> Pool; // must outlive Plan.run()
   const char *PoolLabel = "shard pool";
-  std::string WorkerPipe = "z3";
   // Shared by --shards= and --remote-workers=: end the chain in a
   // `shard` tier and name the pipeline the workers run for the replaced
   // final tier. Returns false after diagnosing an unshardable chain.
   auto RewriteFinalTier = [&](const char *Flag) {
-    if (Tiers.empty())
-      Tiers = {TierKind::Simplify, TierKind::Bounded, TierKind::Smt};
-    TierKind Final = Tiers.back();
+    if (PO.Tiers.empty())
+      PO.Tiers = {TierKind::Simplify, TierKind::Bounded, TierKind::Smt};
+    TierKind Final = PO.Tiers.back();
     if (Final == TierKind::Smt || Final == TierKind::Shard)
-      WorkerPipe = "z3";
+      PO.ShardWorkerPipeline = "z3";
     else if (Final == TierKind::Bounded)
-      WorkerPipe = "bounded";
+      PO.ShardWorkerPipeline = "bounded";
     else {
       std::fprintf(stderr,
                    "relaxc: error: %s needs a final bounded or z3 "
@@ -944,7 +689,7 @@ int runVerify(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
                    Flag, tierKindName(Final));
       return false;
     }
-    Tiers.back() = TierKind::Shard;
+    PO.Tiers.back() = TierKind::Shard;
     return true;
   };
   if (Opts.Shards > 0) {
@@ -978,51 +723,18 @@ int runVerify(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
     Pool = std::move(*PR);
     PoolLabel = "remote pool";
   }
-
-  if (Tiers.empty() && Opts.BoundedStepsSet)
-    std::fprintf(stderr,
-                 "relaxc: warning: --bounded-steps= only applies to the "
-                 "portfolio pipeline; pass --pipeline= or --shards= for it "
-                 "to take effect\n");
-  if (!Tiers.empty()) {
-    PortfolioOptions PO;
-    PO.Tiers = Tiers;
-    PO.Bounded.MaxQuantSteps = Opts.BoundedSteps;
-    PO.Bounded.Jobs = Opts.SolverJobs == 0 ? 1 : Opts.SolverJobs;
-    applyBoundedSearchFlags(Opts, PO.Bounded);
-    PO.Pool = Pool.get();
-    PO.ShardWorkerPipeline = WorkerPipe;
-    VO.Portfolio = std::move(PO);
-    if (RELAXC_HAVE_Z3)
-      VO.SmtFactory = [&Ctx] {
-        return std::make_unique<Z3Solver>(Ctx.symbols());
-      };
-  } else if (VO.Jobs > 1) {
-    VO.SolverFactory = [&Opts, &Ctx] { return makeSolver(Opts, Ctx); };
-  }
+  PO.Pool = Pool.get();
 
   // --cache-dir=: the persistent verdict cache, fronting the scheduler's
-  // shared result cache. Keys embed a fingerprint of every verdict-
-  // relevant knob, so differently configured runs never share entries.
+  // shared result cache, keyed under the plan's fingerprint.
   std::unique_ptr<PersistentCache> PCache;
   if (!Opts.CacheDir.empty()) {
-    std::string Fp;
-    if (VO.Portfolio) {
-      Fp = portfolioConfigFingerprint(*VO.Portfolio, RELAXC_HAVE_Z3 != 0);
-    } else if (Opts.SolverName == "bounded") {
-      BoundedSolverOptions BO; // mirror makeSolver: defaults, Jobs excluded
-      applyBoundedSearchFlags(Opts, BO);
-      Fp = "backend=bounded " + boundedOptionsFingerprint(BO);
-    } else {
-      Fp = "backend=z3";
-    }
-    PCache = std::make_unique<PersistentCache>(Opts.CacheDir, Fp,
-                                               Opts.CacheVerifyPpm);
+    PCache = std::make_unique<PersistentCache>(
+        Opts.CacheDir, Plan.fingerprint(), Opts.CacheVerifyPpm);
     PCache->load();
-    VO.PCache = PCache.get();
   }
 
-  VerifyReport Report = V.run(VO);
+  VerifyOutcome Out = Plan.run(Ctx, Prog, Diags, PCache.get());
   // A cache that cannot be saved costs the next run solver time, never
   // this run its verdict.
   if (PCache)
@@ -1031,56 +743,41 @@ int runVerify(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
                    "%s\n", S.message().c_str());
   if (Diags.hasErrors())
     std::fprintf(stderr, "%s", Diags.render().c_str());
-  std::printf("%s", renderReport(Report, Ctx.symbols(), Opts.Verbose).c_str());
-  if (Opts.SolverStats) {
-    printSolverStats(Opts, Tiers, Stats, Cached, PCache.get());
-    printProcObligations(Report);
-    if (Pool) {
-      PoolStats PS = Pool->stats();
-      std::printf("  %s: %u workers, %llu requests, %llu respawns;"
-                  " served",
-                  PoolLabel, Pool->shardCount(),
-                  static_cast<unsigned long long>(PS.Requests),
-                  static_cast<unsigned long long>(PS.Respawns));
-      for (uint64_t N : PS.PerWorker)
-        std::printf(" %llu", static_cast<unsigned long long>(N));
-      std::printf("\n");
-      if (PS.Failures > 0 || PS.Quarantines > 0)
-        std::printf("  shard health: %llu failed attempt(s), %llu "
-                    "quarantine(s)\n",
-                    static_cast<unsigned long long>(PS.Failures),
-                    static_cast<unsigned long long>(PS.Quarantines));
-      if (PS.Degraded || PS.DegradedFallbacks > 0)
-        std::printf("  shard pool degraded: %llu request(s) answered by "
-                    "the in-process tail\n",
-                    static_cast<unsigned long long>(PS.DegradedFallbacks));
-    }
+  std::fputs(Out.Output.c_str(), stdout);
+  if (Opts.Config.SolverStats && Pool) {
+    PoolStats PS = Pool->stats();
+    std::printf("  %s: %u workers, %llu requests, %llu respawns;"
+                " served",
+                PoolLabel, Pool->shardCount(),
+                static_cast<unsigned long long>(PS.Requests),
+                static_cast<unsigned long long>(PS.Respawns));
+    for (uint64_t N : PS.PerWorker)
+      std::printf(" %llu", static_cast<unsigned long long>(N));
+    std::printf("\n");
+    if (PS.Failures > 0 || PS.Quarantines > 0)
+      std::printf("  shard health: %llu failed attempt(s), %llu "
+                  "quarantine(s)\n",
+                  static_cast<unsigned long long>(PS.Failures),
+                  static_cast<unsigned long long>(PS.Quarantines));
+    if (PS.Degraded || PS.DegradedFallbacks > 0)
+      std::printf("  shard pool degraded: %llu request(s) answered by "
+                  "the in-process tail\n",
+                  static_cast<unsigned long long>(PS.DegradedFallbacks));
   }
-  if (!Opts.Explain.empty() && !printExplain(Report, Opts.Explain, Ctx))
+  if (!Opts.Explain.empty() && !printExplain(Out.Report, Opts.Explain, Ctx))
     return 2;
-
-  // Exit codes (pinned by driver_cli_tests): 0 verified; 1 when any
-  // obligation was positively refuted; 3 when the run fell short only
-  // because a solver gave up or errored. Scripts can tell "the program
-  // is wrong" from "the solver was too weak" without parsing output.
-  if (Report.verified())
-    return 0;
-  if (!Report.SemaOk || Report.GenErrors)
-    return 2; // static error, same class as a parse failure
-  size_t Refuted = Report.Original.count(VCStatus::Failed) +
-                   Report.Relaxed.count(VCStatus::Failed);
-  return Refuted > 0 ? 1 : 3;
+  return Out.ExitStatus;
 }
 
-int runExecute(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
-               DiagnosticEngine &Diags) {
+int runExecute(const CliOptions &Opts, const VerifyPlan &Plan,
+               AstContext &Ctx, Program &Prog, DiagnosticEngine &Diags) {
   Sema SemaPass(Prog, Diags);
   auto Info = SemaPass.run();
   if (!Info) {
     std::fprintf(stderr, "%s", Diags.render().c_str());
     return 1;
   }
-  std::unique_ptr<Solver> Backend = makeSolver(Opts, Ctx);
+  std::unique_ptr<Solver> Backend = Plan.makeBackend(Ctx);
   std::unique_ptr<Oracle> O = makeOracle(Opts, Ctx, *Backend);
   Interp I(Prog, Ctx.symbols(), *O);
   State Init = Interp::zeroState(Prog, Opts.ArrayLen);
@@ -1091,15 +788,15 @@ int runExecute(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
   return Out.ok() ? 0 : 1;
 }
 
-int runMonitor(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
-               DiagnosticEngine &Diags) {
+int runMonitor(const CliOptions &Opts, const VerifyPlan &Plan,
+               AstContext &Ctx, Program &Prog, DiagnosticEngine &Diags) {
   Sema SemaPass(Prog, Diags);
   auto Info = SemaPass.run();
   if (!Info) {
     std::fprintf(stderr, "%s", Diags.render().c_str());
     return 1;
   }
-  std::unique_ptr<Solver> Backend = makeSolver(Opts, Ctx);
+  std::unique_ptr<Solver> Backend = Plan.makeBackend(Ctx);
 
   RelateMap Gamma(Info->relateMap().begin(), Info->relateMap().end());
   PairRunner Runner(Prog, Ctx.symbols(), Gamma);
@@ -1153,43 +850,12 @@ int runDumpVCs(const CliOptions &Opts, AstContext &Ctx, Program &Prog,
     return 1;
   }
   VCGenOptions GO;
-  GO.CheckSafety = !Opts.NoSafety;
+  GO.CheckSafety = !Opts.Config.NoSafety;
   Printer P(Ctx.symbols());
 
-  // Mirror the Verifier's modular passes: one summary verification per
-  // procedure, in declaration order, so dumped ids match `--explain`.
-  VCSet OSet;
-  for (const Procedure &Proc : Prog.procedures()) {
-    UnaryVCGen OGen(Ctx, Prog, JudgmentKind::Original, Diags, GO);
-    OGen.setProcName(procDisplayName(Proc, Ctx.symbols()));
-    OGen.genTriple(Proc.requiresClause() ? Proc.requiresClause()
-                                         : Ctx.trueExpr(),
-                   Proc.body(),
-                   Proc.ensuresClause() ? Proc.ensuresClause()
-                                        : Ctx.trueExpr());
-    OSet.append(OGen.take());
-  }
-
-  VCSet RSet;
-  for (const Procedure &Proc : Prog.procedures()) {
-    std::string Name = procDisplayName(Proc, Ctx.symbols());
-    if (Info->needsIntermediate(Proc)) {
-      UnaryVCGen IGen(Ctx, Prog, JudgmentKind::Intermediate, Diags, GO);
-      IGen.setProcName(Name);
-      IGen.genTriple(Proc.requiresClause() ? Proc.requiresClause()
-                                           : Ctx.trueExpr(),
-                     Proc.body(),
-                     Proc.ensuresClause() ? Proc.ensuresClause()
-                                          : Ctx.trueExpr());
-      RSet.append(IGen.take());
-    }
-    RelationalVCGen RGen(Ctx, Prog, Diags, GO);
-    RGen.setProcName(Name);
-    RGen.genTriple(effectiveRelRequires(Ctx, Prog, Proc), Proc.body(),
-                   Proc.relEnsuresClause() ? Proc.relEnsuresClause()
-                                           : Ctx.trueExpr());
-    RSet.append(RGen.take());
-  }
+  // The Verifier's own passes, so dumped ids match `--explain`.
+  VCSet OSet = Verifier::originalPass(Ctx, Prog, Diags, GO);
+  VCSet RSet = Verifier::relaxedPass(Ctx, Prog, *Info, Diags, GO);
 
   Z3Solver SmtPrinter(Ctx.symbols());
   auto Dump = [&](const char *Title, const VCSet &Set) {
@@ -1255,8 +921,11 @@ int main(int Argc, char **Argv) {
         ListenAddr = Argv[I] + 9;
       }
     }
-    return ListenAddr.empty() ? runDischargeWorker()
-                              : runDischargeWorkerListen(ListenAddr);
+    if (!ListenAddr.empty())
+      return runDischargeWorkerListen(ListenAddr);
+    PipeTransport Stdio(/*ReadFd=*/0, /*WriteFd=*/1, /*OwnsFds=*/false);
+    ShardWorkerState W;
+    return serveShardFrames(Stdio, W);
   }
 
   CliOptions Opts;
@@ -1278,6 +947,12 @@ int main(int Argc, char **Argv) {
   // contexts, pools) happens locally.
   if (!Opts.Connect.empty())
     return runConnectVerify(Opts);
+  // Cannot fail on a parsed config; checked all the same.
+  Result<VerifyPlan> Plan = VerifyPlan::create(Opts.Config);
+  if (!Plan.ok()) {
+    std::fprintf(stderr, "relaxc: error: %s\n", Plan.message().c_str());
+    return 2;
+  }
 
   SourceManager SM;
   if (Status S = SM.loadFile(Opts.File); !S.ok()) {
@@ -1295,11 +970,11 @@ int main(int Argc, char **Argv) {
   }
 
   if (Opts.Command == "verify")
-    return runVerify(Opts, Ctx, *Prog, Diags);
+    return runVerify(Opts, *Plan, Ctx, *Prog, Diags);
   if (Opts.Command == "run")
-    return runExecute(Opts, Ctx, *Prog, Diags);
+    return runExecute(Opts, *Plan, Ctx, *Prog, Diags);
   if (Opts.Command == "monitor")
-    return runMonitor(Opts, Ctx, *Prog, Diags);
+    return runMonitor(Opts, *Plan, Ctx, *Prog, Diags);
   if (Opts.Command == "dump-vcs")
     return runDumpVCs(Opts, Ctx, *Prog, Diags);
   if (Opts.Command == "print") {

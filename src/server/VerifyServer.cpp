@@ -128,12 +128,138 @@ bool relax::isVerifyRequestPayload(std::string_view Payload) {
 }
 
 //===----------------------------------------------------------------------===//
+// The verify configuration
+//===----------------------------------------------------------------------===//
+
+bool relax::parseDecimal(std::string_view V, uint64_t &Out) {
+  if (V.empty())
+    return false;
+  Out = 0;
+  for (char C : V) {
+    if (C < '0' || C > '9')
+      return false;
+    uint64_t Digit = static_cast<uint64_t>(C - '0');
+    if (Out > (UINT64_MAX - Digit) / 10)
+      return false;
+    Out = Out * 10 + Digit;
+  }
+  return true;
+}
+
+Result<bool> VerifyConfig::parseFlag(std::string_view Arg) {
+  std::string_view V;
+  auto Value = [&](std::string_view Prefix) {
+    if (Arg.substr(0, Prefix.size()) != Prefix)
+      return false;
+    V = Arg.substr(Prefix.size());
+    return true;
+  };
+  auto Bad = [&](const char *Flag, const char *Expected) {
+    return Result<bool>::error("bad " + std::string(Flag) + " value '" +
+                               std::string(V) + "' (" + Expected + ")");
+  };
+  auto Count = [&](uint64_t Max, uint64_t &Out) {
+    return parseDecimal(V, Out) && Out <= Max;
+  };
+  auto OnOff = [&](bool &Out) {
+    if (V != "on" && V != "off")
+      return false;
+    Out = V == "on";
+    return true;
+  };
+  uint64_t N = 0;
+  if (Value("--solver=")) {
+    if (!isKnownSolverName(V))
+      return Result<bool>::error("unknown solver '" + std::string(V) +
+                                 "' for --solver= (valid choices: " +
+                                 knownSolverNamesForDiagnostics() + ")");
+    SolverName = std::string(V);
+  } else if (Value("--pipeline=")) {
+    if (Result<std::vector<TierKind>> Tiers = parsePipelineSpec(V);
+        !Tiers.ok())
+      return Tiers.status();
+    Pipeline = std::string(V);
+  } else if (Value("--bounded-steps=")) {
+    if (!Count(UINT64_MAX, BoundedSteps))
+      return Bad("--bounded-steps",
+                 "expected a decimal step count; 0 = unlimited");
+  } else if (Value("--bounded-learning=")) {
+    if (!OnOff(BoundedLearning))
+      return Bad("--bounded-learning", "expected on or off");
+  } else if (Value("--bounded-restarts=")) {
+    if (!OnOff(BoundedRestarts))
+      return Bad("--bounded-restarts", "expected on or off");
+  } else if (Value("--bounded-max-nogoods=")) {
+    if (!Count(UINT32_MAX, BoundedMaxNogoods))
+      return Bad("--bounded-max-nogoods",
+                 "expected a decimal nogood count; 0 = unlimited");
+  } else if (Value("--jobs=")) {
+    if (!Count(1024, N))
+      return Bad("--jobs", "expected a decimal worker count <= 1024");
+    Jobs = static_cast<unsigned>(N);
+  } else if (Value("--solver-jobs=")) {
+    if (!Count(1024, N))
+      return Bad("--solver-jobs", "expected a decimal worker count <= 1024");
+    SolverJobs = static_cast<unsigned>(N);
+  } else if (Value("--timeout-ms=")) {
+    if (!Count(INT64_MAX, N))
+      return Bad("--timeout-ms", "expected a decimal millisecond count");
+    TimeoutMs = static_cast<int64_t>(N);
+  } else if (Value("--vc-timeout-ms=")) {
+    if (!Count(INT64_MAX, N))
+      return Bad("--vc-timeout-ms", "expected a decimal millisecond count");
+    VcTimeoutMs = static_cast<int64_t>(N);
+  } else if (Arg == "--no-safety") {
+    NoSafety = true;
+  } else if (Arg == "--original-only") {
+    OriginalOnly = true;
+  } else if (Arg == "--verbose") {
+    Verbose = true;
+  } else if (Arg == "--solver-stats") {
+    SolverStats = true;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+std::vector<std::string> VerifyConfig::flags() const {
+  const VerifyConfig D;
+  std::vector<std::string> Out;
+  auto Add = [&](bool Differs, std::string Flag) {
+    if (Differs)
+      Out.push_back(std::move(Flag));
+  };
+  auto OnOff = [](bool B) { return B ? "on" : "off"; };
+  Add(SolverName != D.SolverName, "--solver=" + SolverName);
+  Add(!Pipeline.empty(), "--pipeline=" + Pipeline);
+  Add(BoundedSteps != D.BoundedSteps,
+      "--bounded-steps=" + std::to_string(BoundedSteps));
+  Add(BoundedLearning != D.BoundedLearning,
+      std::string("--bounded-learning=") + OnOff(BoundedLearning));
+  Add(BoundedRestarts != D.BoundedRestarts,
+      std::string("--bounded-restarts=") + OnOff(BoundedRestarts));
+  Add(BoundedMaxNogoods != D.BoundedMaxNogoods,
+      "--bounded-max-nogoods=" + std::to_string(BoundedMaxNogoods));
+  Add(Jobs != D.Jobs, "--jobs=" + std::to_string(Jobs));
+  Add(SolverJobs != D.SolverJobs,
+      "--solver-jobs=" + std::to_string(SolverJobs));
+  Add(TimeoutMs >= 0, "--timeout-ms=" + std::to_string(TimeoutMs));
+  Add(VcTimeoutMs >= 0, "--vc-timeout-ms=" + std::to_string(VcTimeoutMs));
+  Add(NoSafety, "--no-safety");
+  Add(OriginalOnly, "--original-only");
+  Add(Verbose, "--verbose");
+  Add(SolverStats, "--solver-stats");
+  return Out;
+}
+
+//===----------------------------------------------------------------------===//
 // The verify wire codec
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-const char *VerifyRequestMagic = "relax-verify-request 1";
+const char *VerifyRequestMagic = "relax-verify-request 2";
 const char *VerifyResponseMagic = "relax-verify-response 1";
 
 void putLine(std::string &Out, const std::string &S) {
@@ -179,13 +305,10 @@ struct WireCursor {
       return Status::error(std::string("expected '") + Tag +
                            " <len>', got '" + std::string(L) + "'");
     uint64_t N = 0;
-    for (size_t I = TagLen + 1; I != L.size(); ++I) {
-      if (L[I] < '0' || L[I] > '9')
-        return Status::error(std::string("bad '") + Tag + "' length");
-      N = N * 10 + static_cast<uint64_t>(L[I] - '0');
-      if (N > MaxFramePayload)
-        return Status::error(std::string("'") + Tag + "' length too large");
-    }
+    if (!parseDecimal(L.substr(TagLen + 1), N))
+      return Status::error(std::string("bad '") + Tag + "' length");
+    if (N > MaxFramePayload)
+      return Status::error(std::string("'") + Tag + "' length too large");
     if (Pos + N + 1 > S.size())
       return Status::error(std::string("truncated '") + Tag + "' bytes");
     Out.assign(S.data() + Pos, N);
@@ -198,99 +321,15 @@ struct WireCursor {
   }
 };
 
-bool parseWireUnsigned(std::string_view V, uint64_t &Out) {
-  if (V.empty())
-    return false;
-  Out = 0;
-  for (char C : V) {
-    if (C < '0' || C > '9')
-      return false;
-    if (Out > UINT64_MAX / 10)
-      return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return true;
-}
-
-/// `<key> <value>` with exact key match; -1 is the only allowed negative.
-Status takeKeyed(WireCursor &C, const char *Key, std::string_view &Value) {
-  std::string_view L;
-  if (!C.line(L))
-    return Status::error(std::string("missing '") + Key + "' field");
-  size_t KeyLen = std::strlen(Key);
-  if (L.compare(0, KeyLen, Key) != 0 || L.size() <= KeyLen ||
-      L[KeyLen] != ' ')
-    return Status::error(std::string("expected '") + Key + " <value>', got '" +
-                         std::string(L) + "'");
-  Value = L.substr(KeyLen + 1);
-  return Status::success();
-}
-
-Status takeUnsigned(WireCursor &C, const char *Key, uint64_t &Out) {
-  std::string_view V;
-  if (Status S = takeKeyed(C, Key, V); !S.ok())
-    return S;
-  if (!parseWireUnsigned(V, Out))
-    return Status::error(std::string("bad '") + Key + "' value '" +
-                         std::string(V) + "'");
-  return Status::success();
-}
-
-Status takeMs(WireCursor &C, const char *Key, int64_t &Out) {
-  std::string_view V;
-  if (Status S = takeKeyed(C, Key, V); !S.ok())
-    return S;
-  if (V == "-1") {
-    Out = -1;
-    return Status::success();
-  }
-  uint64_t N = 0;
-  if (!parseWireUnsigned(V, N) || N > uint64_t(INT64_MAX))
-    return Status::error(std::string("bad '") + Key + "' value '" +
-                         std::string(V) + "'");
-  Out = static_cast<int64_t>(N);
-  return Status::success();
-}
-
-Status takeOnOff(WireCursor &C, const char *Key, bool &Out) {
-  std::string_view V;
-  if (Status S = takeKeyed(C, Key, V); !S.ok())
-    return S;
-  if (V != "on" && V != "off")
-    return Status::error(std::string("bad '") + Key + "' value '" +
-                         std::string(V) + "' (expected on or off)");
-  Out = V == "on";
-  return Status::success();
-}
-
 } // namespace
 
 std::string relax::serializeVerifyRequest(const VerifyWireRequest &R) {
+  std::string Flags;
+  for (const std::string &F : R.flags())
+    putLine(Flags, F);
   std::string Out;
   putLine(Out, VerifyRequestMagic);
-  putLine(Out, "solver " + R.SolverName);
-  putLine(Out, "pipeline " + (R.Pipeline.empty() ? "-" : R.Pipeline));
-  putLine(Out, "bounded-steps " + std::to_string(R.BoundedSteps));
-  putLine(Out, std::string("learning ") + (R.BoundedLearning ? "on" : "off"));
-  putLine(Out, std::string("restarts ") + (R.BoundedRestarts ? "on" : "off"));
-  putLine(Out, "max-nogoods " + std::to_string(R.BoundedMaxNogoods));
-  putLine(Out, "jobs " + std::to_string(R.Jobs));
-  putLine(Out, "solver-jobs " + std::to_string(R.SolverJobs));
-  putLine(Out, "timeout-ms " + std::to_string(R.TimeoutMs));
-  putLine(Out, "vc-timeout-ms " + std::to_string(R.VcTimeoutMs));
-  std::string Flags;
-  auto AddFlag = [&](bool On, const char *Name) {
-    if (!On)
-      return;
-    if (!Flags.empty())
-      Flags += ' ';
-    Flags += Name;
-  };
-  AddFlag(R.NoSafety, "no-safety");
-  AddFlag(R.OriginalOnly, "original-only");
-  AddFlag(R.Verbose, "verbose");
-  AddFlag(R.SolverStats, "solver-stats");
-  putLine(Out, "flags " + (Flags.empty() ? std::string("-") : Flags));
+  putBlob(Out, "config", Flags);
   putBlob(Out, "file", R.FileName);
   putBlob(Out, "source", R.Source);
   return Out;
@@ -306,54 +345,19 @@ Result<VerifyWireRequest> relax::parseVerifyRequest(std::string_view Payload) {
   if (!C.line(L) || L != VerifyRequestMagic)
     return Bad("bad magic (stream is not speaking the verify protocol)");
   VerifyWireRequest R;
-  std::string_view V;
-  if (Status S = takeKeyed(C, "solver", V); !S.ok())
+  std::string Flags;
+  if (Status S = C.blob("config", Flags); !S.ok())
     return Bad(S.message());
-  R.SolverName = std::string(V);
-  if (Status S = takeKeyed(C, "pipeline", V); !S.ok())
-    return Bad(S.message());
-  R.Pipeline = V == "-" ? std::string() : std::string(V);
-  if (Status S = takeUnsigned(C, "bounded-steps", R.BoundedSteps); !S.ok())
-    return Bad(S.message());
-  if (Status S = takeOnOff(C, "learning", R.BoundedLearning); !S.ok())
-    return Bad(S.message());
-  if (Status S = takeOnOff(C, "restarts", R.BoundedRestarts); !S.ok())
-    return Bad(S.message());
-  if (Status S = takeUnsigned(C, "max-nogoods", R.BoundedMaxNogoods); !S.ok())
-    return Bad(S.message());
-  uint64_t N = 0;
-  if (Status S = takeUnsigned(C, "jobs", N); !S.ok() || N > 1024)
-    return Bad(S.ok() ? "bad 'jobs' value (> 1024)" : S.message());
-  R.Jobs = static_cast<unsigned>(N);
-  if (Status S = takeUnsigned(C, "solver-jobs", N); !S.ok() || N > 1024)
-    return Bad(S.ok() ? "bad 'solver-jobs' value (> 1024)" : S.message());
-  R.SolverJobs = static_cast<unsigned>(N);
-  if (Status S = takeMs(C, "timeout-ms", R.TimeoutMs); !S.ok())
-    return Bad(S.message());
-  if (Status S = takeMs(C, "vc-timeout-ms", R.VcTimeoutMs); !S.ok())
-    return Bad(S.message());
-  if (Status S = takeKeyed(C, "flags", V); !S.ok())
-    return Bad(S.message());
-  if (V != "-") {
-    size_t Pos = 0;
-    while (Pos < V.size()) {
-      size_t Sp = V.find(' ', Pos);
-      std::string_view F = V.substr(Pos, Sp == std::string_view::npos
-                                             ? std::string_view::npos
-                                             : Sp - Pos);
-      if (F == "no-safety")
-        R.NoSafety = true;
-      else if (F == "original-only")
-        R.OriginalOnly = true;
-      else if (F == "verbose")
-        R.Verbose = true;
-      else if (F == "solver-stats")
-        R.SolverStats = true;
-      else
-        return Bad("unknown flag '" + std::string(F) + "'");
-      Pos = Sp == std::string_view::npos ? V.size() : Sp + 1;
-    }
+  WireCursor F{Flags};
+  while (F.line(L)) {
+    Result<bool> Took = R.parseFlag(L);
+    if (!Took.ok())
+      return Bad(Took.message());
+    if (!*Took)
+      return Bad("unknown option '" + std::string(L) + "'");
   }
+  if (F.Pos != Flags.size())
+    return Bad("config flags not newline-terminated");
   if (Status S = C.blob("file", R.FileName); !S.ok())
     return Bad(S.message());
   if (Status S = C.blob("source", R.Source); !S.ok())
@@ -384,14 +388,14 @@ relax::parseVerifyResponse(std::string_view Payload) {
   if (!C.line(L) || L != VerifyResponseMagic)
     return Bad("bad magic (stream is not speaking the verify protocol)");
   VerifyWireResponse R;
-  std::string_view V;
-  if (Status S = takeKeyed(C, "status", V); !S.ok())
-    return Bad(S.message());
+  if (!C.line(L) || L.substr(0, 7) != "status ")
+    return Bad("missing 'status' field");
+  std::string_view V = L.substr(7);
   size_t Sp = V.find(' ');
   if (Sp == std::string_view::npos)
     return Bad("bad 'status' line '" + std::string(V) + "'");
   uint64_t N = 0;
-  if (!parseWireUnsigned(V.substr(0, Sp), N) || N > 3)
+  if (!parseDecimal(V.substr(0, Sp), N) || N > 3)
     return Bad("bad exit status '" + std::string(V.substr(0, Sp)) + "'");
   R.ExitStatus = static_cast<int>(N);
   std::string_view Kind = V.substr(Sp + 1);
@@ -415,7 +419,7 @@ relax::parseVerifyResponse(std::string_view Payload) {
 }
 
 //===----------------------------------------------------------------------===//
-// Stats renderers (the CLI prints these strings; the daemon ships them)
+// Stats renderers
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -433,13 +437,13 @@ void appendf(std::string &Out, const char *Fmt, ...) {
     Out.append(Buf, std::min(static_cast<size_t>(N), sizeof(Buf) - 1));
 }
 
-} // namespace
-
-std::string relax::renderSolverStats(const std::string &BackendName,
-                                     const std::vector<TierKind> &Tiers,
-                                     const DischargeStats &S,
-                                     const CachingSolver *Cached,
-                                     const PersistentCache *PCache) {
+/// The `--solver-stats` block. \p Tiers is the effective chain (empty =
+/// single backend, whose sequential path runs behind \p Cached).
+std::string renderSolverStats(const std::string &BackendName,
+                              const std::vector<TierKind> &Tiers,
+                              const DischargeStats &S,
+                              const CachingSolver &Cached,
+                              const PersistentCache *PCache) {
   auto U = [](uint64_t N) { return static_cast<unsigned long long>(N); };
   std::string Out;
   Out += "solver stats:\n";
@@ -467,12 +471,11 @@ std::string relax::renderSolverStats(const std::string &BackendName,
     // Single-backend mode: the sequential path runs behind CachingSolver;
     // the parallel path uses the scheduler's shared cache.
     appendf(Out, "  backend: %s\n", BackendName.c_str());
-    if (Cached)
-      appendf(Out,
-              "  caching solver: %llu hits, %llu misses, %llu model "
-              "pass-throughs\n",
-              U(Cached->hitCount()), U(Cached->missCount()),
-              U(Cached->modelPassThroughCount()));
+    appendf(Out,
+            "  caching solver: %llu hits, %llu misses, %llu model "
+            "pass-throughs\n",
+            U(Cached.hitCount()), U(Cached.missCount()),
+            U(Cached.modelPassThroughCount()));
     appendf(Out, "  shared result cache: %llu hits, %llu misses\n",
             U(S.SharedCacheHits), U(S.SharedCacheMisses));
   }
@@ -503,7 +506,10 @@ std::string relax::renderSolverStats(const std::string &BackendName,
   return Out;
 }
 
-std::string relax::renderProcObligations(const VerifyReport &Report) {
+/// The `--solver-stats` per-procedure obligation counts. With summary-
+/// based generation a procedure called N times still shows up once; only
+/// cheap instantiation VCs accrue to its callers.
+std::string renderProcObligations(const VerifyReport &Report) {
   std::vector<std::string> Order;
   std::map<std::string, std::pair<size_t, size_t>> Counts;
   auto Tally = [&](const JudgmentReport &J, bool Relaxed) {
@@ -526,58 +532,107 @@ std::string relax::renderProcObligations(const VerifyReport &Report) {
   return Out;
 }
 
-//===----------------------------------------------------------------------===//
-// The served verify job
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Mirror of the CLI's makeSolver for a wire request.
-std::unique_ptr<Solver> makeJobBackend(const VerifyWireRequest &R,
-                                       AstContext &Ctx) {
-  if (R.SolverName == "bounded") {
-    BoundedSolverOptions BO;
-    BO.Jobs = R.SolverJobs == 0 ? 1 : R.SolverJobs;
-    BO.Learning = R.BoundedLearning;
-    BO.Restarts = R.BoundedRestarts;
-    BO.MaxNogoods = static_cast<uint32_t>(R.BoundedMaxNogoods);
-    return std::make_unique<BoundedSolver>(BO, &Ctx);
-  }
-  return std::make_unique<Z3Solver>(Ctx.symbols());
-}
-
-/// Mirror of the CLI's portfolio construction — any drift here breaks
-/// both served/standalone report identity and cache-fingerprint sharing.
-PortfolioOptions makeJobPortfolio(const VerifyWireRequest &R,
-                                  const std::vector<TierKind> &Tiers) {
-  PortfolioOptions PO;
-  PO.Tiers = Tiers;
-  PO.Bounded.MaxQuantSteps = R.BoundedSteps;
-  PO.Bounded.Jobs = R.SolverJobs == 0 ? 1 : R.SolverJobs;
-  PO.Bounded.Learning = R.BoundedLearning;
-  PO.Bounded.Restarts = R.BoundedRestarts;
-  PO.Bounded.MaxNogoods = static_cast<uint32_t>(R.BoundedMaxNogoods);
-  return PO;
+/// Exit codes (pinned by driver_cli_tests): 0 verified; 1 when any
+/// obligation was positively refuted; 2 for a static error; 3 when the
+/// run fell short only because a solver gave up or errored — so scripts
+/// tell "the program is wrong" from "the solver was too weak".
+int exitStatus(const VerifyReport &Report) {
+  if (Report.verified())
+    return 0;
+  if (!Report.SemaOk || Report.GenErrors)
+    return 2;
+  size_t Refuted = Report.Original.count(VCStatus::Failed) +
+                   Report.Relaxed.count(VCStatus::Failed);
+  return Refuted > 0 ? 1 : 3;
 }
 
 } // namespace
 
-std::string relax::verifyJobFingerprint(const VerifyWireRequest &R) {
-  if (!R.Pipeline.empty()) {
-    Result<std::vector<TierKind>> Tiers = parsePipelineSpec(R.Pipeline);
-    if (!Tiers.ok())
-      return std::string();
-    return portfolioConfigFingerprint(makeJobPortfolio(R, *Tiers),
-                                      RELAXC_HAVE_Z3 != 0);
-  }
-  if (R.SolverName == "bounded") {
-    BoundedSolverOptions BO; // mirror makeJobBackend: defaults, Jobs excluded
-    BO.Learning = R.BoundedLearning;
-    BO.Restarts = R.BoundedRestarts;
-    BO.MaxNogoods = static_cast<uint32_t>(R.BoundedMaxNogoods);
-    return "backend=bounded " + boundedOptionsFingerprint(BO);
-  }
+//===----------------------------------------------------------------------===//
+// The builder
+//===----------------------------------------------------------------------===//
+
+Result<VerifyPlan> VerifyPlan::create(const VerifyConfig &C) {
+  VerifyPlan P;
+  for (const std::string &F : C.flags())
+    if (Result<bool> Took = P.Config.parseFlag(F); !Took.ok())
+      return Took.status();
+  P.Portfolio.Tiers.clear();
+  if (!P.Config.Pipeline.empty())
+    P.Portfolio.Tiers = *parsePipelineSpec(P.Config.Pipeline);
+  BoundedSolverOptions &B = P.Portfolio.Bounded;
+  B.MaxQuantSteps = P.Config.BoundedSteps;
+  B.Jobs = std::max(1u, P.Config.SolverJobs);
+  B.Learning = P.Config.BoundedLearning;
+  B.Restarts = P.Config.BoundedRestarts;
+  B.MaxNogoods = static_cast<uint32_t>(P.Config.BoundedMaxNogoods);
+  return P;
+}
+
+std::unique_ptr<Solver> VerifyPlan::makeBackend(AstContext &Ctx) const {
+  // A single bounded backend is the final tier of `--pipeline=bounded`:
+  // the same budgets (so it never searches unbudgeted) and, like any
+  // final tier, authoritative exhaustion.
+  if (Config.SolverName == "bounded")
+    return std::make_unique<BoundedSolver>(Portfolio.Bounded, &Ctx);
+  return std::make_unique<Z3Solver>(Ctx.symbols());
+}
+
+std::string VerifyPlan::fingerprint() const {
+  if (!Portfolio.Tiers.empty())
+    return portfolioConfigFingerprint(Portfolio, RELAXC_HAVE_Z3 != 0);
+  if (Config.SolverName == "bounded")
+    return "backend=bounded " + boundedOptionsFingerprint(Portfolio.Bounded);
   return "backend=z3";
+}
+
+VerifyOutcome VerifyPlan::run(AstContext &Ctx, const Program &Prog,
+                              DiagnosticEngine &Diags,
+                              PersistentCache *PCache) const {
+  std::unique_ptr<Solver> Backend = makeBackend(Ctx);
+  CachingSolver Cached(*Backend);
+  Verifier V(Ctx, Prog, Cached, Diags);
+  Verifier::Options VO;
+  VO.GenOpts.CheckSafety = !Config.NoSafety;
+  VO.RunRelaxed = !Config.OriginalOnly;
+  VO.Jobs = std::max(1u, Config.Jobs);
+  VO.VcTimeoutMs = Config.VcTimeoutMs;
+  DischargeStats Stats;
+  VO.StatsOut = &Stats;
+  VO.PCache = PCache;
+  if (!Portfolio.Tiers.empty()) {
+    VO.Portfolio = Portfolio;
+    if (RELAXC_HAVE_Z3)
+      VO.SmtFactory = [&Ctx] {
+        return std::make_unique<Z3Solver>(Ctx.symbols());
+      };
+  } else if (VO.Jobs > 1) {
+    VO.SolverFactory = [this, &Ctx] { return makeBackend(Ctx); };
+  }
+  // Armed last, right before the run, so setup does not eat into the
+  // budget; an expired run settles the rest as "deadline" gave-ups.
+  if (Config.TimeoutMs >= 0)
+    VO.GlobalDeadline = Deadline::inMs(Config.TimeoutMs);
+
+  VerifyOutcome Out;
+  Out.Report = V.run(VO);
+  Out.Output = renderReport(Out.Report, Ctx.symbols(), Config.Verbose);
+  if (Config.SolverStats) {
+    Out.Output += renderSolverStats(Config.SolverName, Portfolio.Tiers, Stats,
+                                    Cached, PCache);
+    Out.Output += renderProcObligations(Out.Report);
+  }
+  Out.ExitStatus = exitStatus(Out.Report);
+  return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// The served verify job
+//===----------------------------------------------------------------------===//
+
+std::string relax::verifyJobFingerprint(const VerifyWireRequest &R) {
+  Result<VerifyPlan> P = VerifyPlan::create(R);
+  return P.ok() ? P->fingerprint() : std::string();
 }
 
 VerifyWireResponse relax::runVerifyJob(const VerifyWireRequest &Req,
@@ -589,21 +644,13 @@ VerifyWireResponse relax::runVerifyJob(const VerifyWireRequest &Req,
     Resp.Error = std::move(Msg);
     return Resp;
   };
-
-  if (!isKnownSolverName(Req.SolverName))
-    return Usage("unknown solver '" + Req.SolverName + "' (valid choices: " +
-                 knownSolverNamesForDiagnostics() + ")");
-  std::vector<TierKind> Tiers;
-  if (!Req.Pipeline.empty()) {
-    Result<std::vector<TierKind>> T = parsePipelineSpec(Req.Pipeline);
-    if (!T.ok())
-      return Usage(T.message());
-    for (TierKind K : *T)
-      if (K == TierKind::Shard)
-        return Usage("a served verify request cannot run a shard tier "
-                     "(the daemon is already the far side of one)");
-    Tiers = *T;
-  }
+  Result<VerifyPlan> Plan = VerifyPlan::create(Req);
+  if (!Plan.ok())
+    return Usage(Plan.message());
+  for (TierKind K : Plan->Portfolio.Tiers)
+    if (K == TierKind::Shard)
+      return Usage("a served verify request cannot run a shard tier "
+                   "(the daemon is already the far side of one)");
 
   // One fresh AstContext per request — see the file comment in
   // VerifyServer.h for why warm contexts would break report identity.
@@ -620,52 +667,11 @@ VerifyWireResponse relax::runVerifyJob(const VerifyWireRequest &Req,
     return Resp;
   }
 
-  std::unique_ptr<Solver> Backend = makeJobBackend(Req, Ctx);
-  CachingSolver Cached(*Backend);
-  Verifier V(Ctx, *Prog, Cached, Diags);
-  Verifier::Options VO;
-  VO.GenOpts.CheckSafety = !Req.NoSafety;
-  VO.RunRelaxed = !Req.OriginalOnly;
-  VO.Jobs = Req.Jobs == 0 ? 1 : Req.Jobs;
-  // The request-scoped deadline: armed right before the run, exactly like
-  // the CLI, and mapped to the exit-code-style status below (an expired
-  // request answers status 3, never hangs the connection).
-  if (Req.TimeoutMs >= 0)
-    VO.GlobalDeadline = Deadline::inMs(Req.TimeoutMs);
-  VO.VcTimeoutMs = Req.VcTimeoutMs;
-  DischargeStats Stats;
-  VO.StatsOut = &Stats;
-  if (!Tiers.empty()) {
-    VO.Portfolio = makeJobPortfolio(Req, Tiers);
-    if (RELAXC_HAVE_Z3)
-      VO.SmtFactory = [&Ctx] {
-        return std::make_unique<Z3Solver>(Ctx.symbols());
-      };
-  } else if (VO.Jobs > 1) {
-    VO.SolverFactory = [&Req, &Ctx] { return makeJobBackend(Req, Ctx); };
-  }
-  VO.PCache = PCache;
-
-  VerifyReport Report = V.run(VO);
+  VerifyOutcome Out = Plan->run(Ctx, *Prog, Diags, PCache);
   if (Diags.hasErrors())
     Resp.Diagnostics = Diags.render();
-  Resp.Report = renderReport(Report, Ctx.symbols(), Req.Verbose);
-  if (Req.SolverStats) {
-    Resp.Report +=
-        renderSolverStats(Req.SolverName, Tiers, Stats, &Cached, PCache);
-    Resp.Report += renderProcObligations(Report);
-  }
-
-  // Exit-code discipline, identical to the CLI's runVerify.
-  if (Report.verified()) {
-    Resp.ExitStatus = 0;
-  } else if (!Report.SemaOk || Report.GenErrors) {
-    Resp.ExitStatus = 2;
-  } else {
-    size_t Refuted = Report.Original.count(VCStatus::Failed) +
-                     Report.Relaxed.count(VCStatus::Failed);
-    Resp.ExitStatus = Refuted > 0 ? 1 : 3;
-  }
+  Resp.Report = std::move(Out.Output);
+  Resp.ExitStatus = Out.ExitStatus;
   return Resp;
 }
 

@@ -20,6 +20,14 @@
 ///   3 gave up), so `relaxc verify f.rlx --connect=<addr>` is a drop-in
 ///   for a local run.
 ///
+/// One configuration, one parser, one builder: the CLI and the daemon
+/// share VerifyConfig (every verdict- or report-relevant knob), its flag
+/// parser (which decodes argv and the wire alike) and VerifyPlan (which
+/// builds the solvers, the fingerprint, the stats text and the exit
+/// status). Adding a knob means one field and one flag case; the wire
+/// and the fingerprint follow. Neither side builds a verify run any
+/// other way, so no copy can drift.
+///
 /// Warm state is chosen to keep verdicts bit-identical to a standalone
 /// run: each verify request gets a FRESH AstContext (VC generation
 /// through a reused context would drift the Interner's fresh counters —
@@ -76,28 +84,94 @@ bool isShardRequestPayload(std::string_view Payload);
 bool isVerifyRequestPayload(std::string_view Payload);
 
 //===----------------------------------------------------------------------===//
-// The verify wire
+// The verify configuration and its builder (shared with the CLI, so a
+// served report is byte-identical to a local one)
 //===----------------------------------------------------------------------===//
 
-/// One whole verification job: the program source plus every
-/// verdict-relevant CLI knob. Field defaults mirror the CLI's.
-struct VerifyWireRequest {
-  std::string FileName = "<request>"; ///< diagnostics rendering only
-  std::string Source;                 ///< the program text, verbatim
-  std::string SolverName = "z3";      ///< single-backend mode
-  std::string Pipeline;               ///< tier spec; "" = single backend
+/// Every verify knob that can change a verdict or a report, declared
+/// once (see the file comment). A `--connect=` client ships flags() and
+/// the daemon reads them back with the parseFlag() that reads argv.
+struct VerifyConfig {
+  std::string SolverName = "z3"; ///< single-backend mode (`--solver=`)
+  std::string Pipeline;          ///< tier spec; "" = single backend
+  /// Per-query quantifier-step budget of the bounded tier and of a
+  /// single bounded backend.
   uint64_t BoundedSteps = 200'000;
+  /// Conflict-driven-search knobs of the bounded search. Verdict-
+  /// irrelevant (learning only skips refuted candidates) but
+  /// fingerprint-relevant: runs differing in any of them never share
+  /// persistent-cache entries.
   bool BoundedLearning = true;
   bool BoundedRestarts = true;
   uint64_t BoundedMaxNogoods = 10'000;
-  unsigned Jobs = 1;
-  unsigned SolverJobs = 1;
-  int64_t TimeoutMs = -1;   ///< request-scoped global deadline (< 0 none)
+  unsigned Jobs = 1;        ///< parallel discharge workers
+  unsigned SolverJobs = 1;  ///< search workers inside the bounded search
+  int64_t TimeoutMs = -1;   ///< global deadline (< 0 none); expiry exits 3
   int64_t VcTimeoutMs = -1; ///< per-obligation budget (< 0 none)
   bool NoSafety = false;
   bool OriginalOnly = false;
   bool Verbose = false;
   bool SolverStats = false;
+
+  /// Applies one command-line argument: true when \p Arg is a config
+  /// flag, false when it is not one (the caller's own flags); an error
+  /// carrying the CLI's diagnostic when its value is bad.
+  Result<bool> parseFlag(std::string_view Arg);
+
+  /// The `--flag` spelling of every knob that differs from its default;
+  /// parseFlag() over them rebuilds *this.
+  std::vector<std::string> flags() const;
+};
+
+/// Strict decimal parse: the whole string must be digits. No sign, no
+/// whitespace, no overflow — for a budget flag, garbage must never
+/// silently mean 0 ("unlimited").
+bool parseDecimal(std::string_view V, uint64_t &Out);
+
+/// What one verify run produced.
+struct VerifyOutcome {
+  VerifyReport Report;
+  std::string Output; ///< stdout bytes: the report, then --solver-stats
+  int ExitStatus = 3; ///< 0 verified, 1 refuted, 2 static error, 3 gave up
+};
+
+/// A VerifyConfig turned into discharge settings: the one builder of the
+/// backend, the portfolio, Verifier::Options, the persistent-cache
+/// fingerprint, the --solver-stats text and the exit status. Context-free
+/// until run(), so the daemon fingerprints a request before parsing it.
+struct VerifyPlan {
+  VerifyConfig Config;
+  /// The tier chain and the bounded budgets. Empty Tiers = the single
+  /// `--solver=` backend; a single bounded backend runs with exactly the
+  /// options of a final `bounded` tier. The CLI's pool flags rewrite the
+  /// final tier to `shard` here before run().
+  PortfolioOptions Portfolio;
+
+  /// Checks \p C through the flag parser, so a config built in code meets
+  /// the rules argv and the wire meet, and derives the settings.
+  static Result<VerifyPlan> create(const VerifyConfig &C);
+
+  /// The single backend (also the oracle backend of `run`/`monitor`).
+  std::unique_ptr<Solver> makeBackend(AstContext &Ctx) const;
+
+  /// Every verdict-relevant knob, as the persistent cache's key prefix.
+  std::string fingerprint() const;
+
+  /// Runs sema, both passes and discharge. \p PCache may be null; the
+  /// caller loads and flushes it.
+  VerifyOutcome run(AstContext &Ctx, const Program &Prog,
+                    DiagnosticEngine &Diags, PersistentCache *PCache) const;
+};
+
+//===----------------------------------------------------------------------===//
+// The verify wire
+//===----------------------------------------------------------------------===//
+
+/// One whole verification job: the program source plus its
+/// configuration, which crosses the wire as VerifyConfig::flags().
+struct VerifyWireRequest : VerifyConfig {
+  std::string FileName = "<request>"; ///< diagnostics rendering only
+  std::string Source;                 ///< the program text, verbatim
 };
 
 std::string serializeVerifyRequest(const VerifyWireRequest &R);
@@ -121,27 +195,9 @@ struct VerifyWireResponse {
 std::string serializeVerifyResponse(const VerifyWireResponse &R);
 Result<VerifyWireResponse> parseVerifyResponse(std::string_view Payload);
 
-//===----------------------------------------------------------------------===//
-// The job runner and its stats renderers (shared with the CLI, so a
-// served report is byte-identical to a local one)
-//===----------------------------------------------------------------------===//
-
-/// The `--solver-stats` block as a string. \p Tiers is the effective
-/// chain ("" pipeline = empty vector = single-backend branch); \p Cached
-/// may be null in pipeline mode (its counters only print single-backend).
-std::string renderSolverStats(const std::string &BackendName,
-                              const std::vector<TierKind> &Tiers,
-                              const DischargeStats &S,
-                              const CachingSolver *Cached,
-                              const PersistentCache *PCache);
-
-/// The `--solver-stats` per-procedure obligation counts as a string.
-std::string renderProcObligations(const VerifyReport &Report);
-
-/// The persistent-cache config fingerprint of a request, computed
-/// exactly as the CLI computes it for the same flags — a daemon given
-/// the CLI's --cache-dir= shares its on-disk entries. Empty when the
-/// request's pipeline does not parse (the job will diagnose it).
+/// VerifyPlan::create(R).fingerprint(): a daemon given the CLI's
+/// --cache-dir= shares its on-disk entries. Empty when the request does
+/// not check out (the job will diagnose it).
 std::string verifyJobFingerprint(const VerifyWireRequest &R);
 
 /// Runs one verification job start to finish in a fresh AstContext.

@@ -13,6 +13,8 @@
 
 #include <z3++.h>
 
+#include <cctype>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <set>
@@ -295,6 +297,47 @@ struct ScopedPush {
   }
 };
 
+/// Z3 prints constant names as given, but fresh names such as `variant'1`
+/// are not SMT-LIB simple symbols, so other parsers (Z3's own included)
+/// reject the script. Wraps every such token in `|...|`; comments, string
+/// literals and already-quoted symbols pass through.
+std::string quoteIllegalSymbols(const std::string &Script) {
+  auto Delimiter = [](char C) {
+    return std::isspace(static_cast<unsigned char>(C)) || C == '(' ||
+           C == ')' || C == '|' || C == '"' || C == ';';
+  };
+  auto SymbolChar = [](char C) {
+    return std::isalnum(static_cast<unsigned char>(C)) ||
+           std::strchr("~!@$%^&*_-+=<>.?/:#", C) != nullptr;
+  };
+  std::string Out;
+  size_t I = 0;
+  while (I < Script.size()) {
+    char C = Script[I];
+    size_t End = I + 1;
+    if (C == ';' || C == '|' || C == '"') {
+      End = Script.find(C == ';' ? '\n' : C, I + 1);
+      End = End == std::string::npos ? Script.size() : End + (C != ';');
+    } else if (!Delimiter(C)) {
+      while (End < Script.size() && !Delimiter(Script[End]))
+        ++End;
+      bool Legal = true;
+      for (size_t J = I; J != End; ++J)
+        Legal = Legal && SymbolChar(Script[J]);
+      if (!Legal) {
+        Out += '|';
+        Out.append(Script, I, End - I);
+        Out += '|';
+        I = End;
+        continue;
+      }
+    }
+    Out.append(Script, I, End - I);
+    I = End;
+  }
+  return Out;
+}
+
 } // namespace
 
 Z3Solver::Z3Solver(const Interner &Syms, Z3SolverOptions Opts)
@@ -313,7 +356,7 @@ Z3Solver::toSmtLib(const std::vector<const BoolExpr *> &Formulas) {
       S.add(T.trFormula(F));
     for (const z3::expr &Axiom : T.lengthAxioms())
       S.add(Axiom);
-    return std::string(S.to_smt2());
+    return quoteIllegalSymbols(S.to_smt2());
   } catch (const z3::exception &E) {
     return Result<std::string>::error(std::string("z3 error: ") + E.msg());
   }

@@ -72,7 +72,8 @@ public:
 
   /// Renders the conjunction of \p Formulas (plus the implicit
   /// length-nonnegativity axioms) as an SMT-LIB 2 script, for debugging
-  /// generated VCs or handing them to another solver.
+  /// generated VCs or handing them to another solver. Names that are not
+  /// SMT-LIB simple symbols (primed fresh names) are printed `|quoted|`.
   Result<std::string>
   toSmtLib(const std::vector<const BoolExpr *> &Formulas);
 

@@ -64,6 +64,9 @@ public:
   /// idle wait), or -1 once closed.
   virtual int recvFd() const = 0;
 
+  /// The fd send() writes to (a chaos crash tears a frame header there).
+  virtual int sendFd() const = 0;
+
   /// Half-close: signals end-of-requests (EOF at the peer's recv) while
   /// keeping the receive side open for a final response.
   virtual void closeSend() = 0;
@@ -84,6 +87,7 @@ public:
   Status send(std::string_view Payload) override;
   FrameRead recv(const Deadline &D) override;
   int recvFd() const override { return RFd; }
+  int sendFd() const override { return WFd; }
   void closeSend() override;
   void close() override;
 
@@ -103,6 +107,7 @@ public:
   Status send(std::string_view Payload) override;
   FrameRead recv(const Deadline &D) override;
   int recvFd() const override { return Fd; }
+  int sendFd() const override { return Fd; }
   void closeSend() override;
   void close() override;
 

@@ -44,61 +44,75 @@ VerifyReport Verifier::run(Options Opts) {
 
   unsigned ErrorsBeforeGen = Diags.errorCount();
 
-  // Modular summary-based verification: every procedure's body is
-  // verified exactly once against its own contracts; call sites
-  // instantiate the callee's summary (assert requires, havoc the frame,
-  // assume ensures) instead of inlining the body. Procedures are visited
-  // in declaration order, so obligation ids are deterministic.
-  auto UnaryPre = [&](const Procedure &P) {
-    return P.requiresClause() ? P.requiresClause() : Ctx.trueExpr();
-  };
-  auto UnaryPost = [&](const Procedure &P) {
-    return P.ensuresClause() ? P.ensuresClause() : Ctx.trueExpr();
-  };
-
   if (Opts.RunOriginal) {
-    VCSet All;
-    for (const Procedure &P : Prog.procedures()) {
-      UnaryVCGen Gen(Ctx, Prog, JudgmentKind::Original, Diags, Opts.GenOpts);
-      Gen.setProcName(procDisplayName(P, Ctx.symbols()));
-      Gen.genTriple(UnaryPre(P), P.body(), UnaryPost(P));
-      All.append(Gen.take());
-    }
     Report.Original.Judgment = JudgmentKind::Original;
-    Sched.discharge(std::move(All), Report.Original, TheSolver);
+    Sched.discharge(originalPass(Ctx, Prog, Diags, Opts.GenOpts),
+                    Report.Original, TheSolver);
   }
-
   if (Opts.RunRelaxed) {
-    VCSet All;
-    for (const Procedure &P : Prog.procedures()) {
-      std::string Name = procDisplayName(P, Ctx.symbols());
-      // A procedure reachable from a call under a plain `diverge`
-      // annotation also runs solo in the relaxed execution, so its
-      // summary must additionally hold under the intermediate judgment
-      // |-i (where `relax` havocs and `assume` carries an obligation).
-      if (Info->needsIntermediate(P)) {
-        UnaryVCGen IGen(Ctx, Prog, JudgmentKind::Intermediate, Diags,
-                        Opts.GenOpts);
-        IGen.setProcName(Name);
-        IGen.genTriple(UnaryPre(P), P.body(), UnaryPost(P));
-        All.append(IGen.take());
-      }
-      const BoolExpr *RelPre = relax::effectiveRelRequires(Ctx, Prog, P);
-      const BoolExpr *RelPost = P.relEnsuresClause() ? P.relEnsuresClause()
-                                                     : Ctx.trueExpr();
-      RelationalVCGen Gen(Ctx, Prog, Diags, Opts.GenOpts);
-      Gen.setProcName(Name);
-      Gen.genTriple(RelPre, P.body(), RelPost);
-      All.append(Gen.take());
-    }
     Report.Relaxed.Judgment = JudgmentKind::Relaxed;
-    Sched.discharge(std::move(All), Report.Relaxed, TheSolver);
+    Sched.discharge(relaxedPass(Ctx, Prog, *Info, Diags, Opts.GenOpts),
+                    Report.Relaxed, TheSolver);
   }
 
   Report.GenErrors = Diags.errorCount() > ErrorsBeforeGen;
   if (Opts.StatsOut)
     Opts.StatsOut->merge(Sched.stats());
   return Report;
+}
+
+// Modular summary-based verification: every procedure's body is verified
+// exactly once against its own contracts; call sites instantiate the
+// callee's summary (assert requires, havoc the frame, assume ensures)
+// instead of inlining the body. Procedures are visited in declaration
+// order, so obligation ids are deterministic.
+
+static const BoolExpr *unaryPre(AstContext &Ctx, const Procedure &P) {
+  return P.requiresClause() ? P.requiresClause() : Ctx.trueExpr();
+}
+
+static const BoolExpr *unaryPost(AstContext &Ctx, const Procedure &P) {
+  return P.ensuresClause() ? P.ensuresClause() : Ctx.trueExpr();
+}
+
+VCSet Verifier::originalPass(AstContext &Ctx, const Program &Prog,
+                             DiagnosticEngine &Diags,
+                             const VCGenOptions &GenOpts) {
+  VCSet All;
+  for (const Procedure &P : Prog.procedures()) {
+    UnaryVCGen Gen(Ctx, Prog, JudgmentKind::Original, Diags, GenOpts);
+    Gen.setProcName(procDisplayName(P, Ctx.symbols()));
+    Gen.genTriple(unaryPre(Ctx, P), P.body(), unaryPost(Ctx, P));
+    All.append(Gen.take());
+  }
+  return All;
+}
+
+VCSet Verifier::relaxedPass(AstContext &Ctx, const Program &Prog,
+                            const SemaInfo &Info, DiagnosticEngine &Diags,
+                            const VCGenOptions &GenOpts) {
+  VCSet All;
+  for (const Procedure &P : Prog.procedures()) {
+    std::string Name = procDisplayName(P, Ctx.symbols());
+    // A procedure reachable from a call under a plain `diverge`
+    // annotation also runs solo in the relaxed execution, so its summary
+    // must additionally hold under the intermediate judgment |-i (where
+    // `relax` havocs and `assume` carries an obligation).
+    if (Info.needsIntermediate(P)) {
+      UnaryVCGen IGen(Ctx, Prog, JudgmentKind::Intermediate, Diags, GenOpts);
+      IGen.setProcName(Name);
+      IGen.genTriple(unaryPre(Ctx, P), P.body(), unaryPost(Ctx, P));
+      All.append(IGen.take());
+    }
+    const BoolExpr *RelPre = relax::effectiveRelRequires(Ctx, Prog, P);
+    const BoolExpr *RelPost =
+        P.relEnsuresClause() ? P.relEnsuresClause() : Ctx.trueExpr();
+    RelationalVCGen Gen(Ctx, Prog, Diags, GenOpts);
+    Gen.setProcName(Name);
+    Gen.genTriple(RelPre, P.body(), RelPost);
+    All.append(Gen.take());
+  }
+  return All;
 }
 
 std::string relax::renderReport(const VerifyReport &Report,

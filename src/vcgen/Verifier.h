@@ -112,6 +112,19 @@ public:
   VerifyReport run(Options Opts);
   VerifyReport run() { return run(Options{}); }
 
+  /// The |-o pass's obligations: every procedure's {requires} body
+  /// {ensures} summary, in declaration order (so ids are deterministic).
+  static VCSet originalPass(AstContext &Ctx, const Program &Prog,
+                            DiagnosticEngine &Diags,
+                            const VCGenOptions &GenOpts);
+
+  /// The |-r pass's obligations: per procedure, its |-i summary when a
+  /// plain `diverge` reaches it (\p Info says which), then its
+  /// {rrequires} body {rensures} summary.
+  static VCSet relaxedPass(AstContext &Ctx, const Program &Prog,
+                           const SemaInfo &Info, DiagnosticEngine &Diags,
+                           const VCGenOptions &GenOpts);
+
   /// The relational precondition actually used for the *entry* procedure:
   /// its rrequires clause, or (by default) "both executions start from the
   /// same state satisfying the unary precondition":

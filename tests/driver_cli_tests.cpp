@@ -15,18 +15,36 @@
 //    with "deadline" in the report, never hangs;
 //  * fault injection: a fully dead worker pool degrades to the
 //    in-process tail ("shard pool degraded" under --solver-stats) with
-//    the fault-free exit code, and a bad --faults= spec exits 2.
+//    the fault-free exit code, and a bad --faults= spec exits 2;
+//  * one verify configuration: on every case study and a spread of
+//    configs, `relaxc verify`, the same flags through `--connect` to a
+//    daemon, and runVerifyJob give the same report (timings aside) and
+//    exit code, and the CLI's --cache-dir is found and answered under
+//    verifyJobFingerprint;
+//  * dump-vcs: its per-pass VC counts equal the verify report's, and
+//    every `--smtlib` script parses and answers as its comment expects.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "server/VerifyServer.h"
 #include "support/Subprocess.h"
 
 #include <gtest/gtest.h>
 
+#if RELAXC_HAVE_Z3
+#include <z3++.h>
+#endif
+
+#include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <functional>
 #include <regex>
+
+#include <poll.h>
 #include <unistd.h>
 
 using namespace relax;
@@ -38,12 +56,14 @@ struct RunResult {
   std::string Output; ///< stdout + stderr, merged
 };
 
-/// Runs the driver with \p Args, returning its exit code and merged
-/// output. The 60s frame-less read bounds a wedged driver.
-RunResult runDriver(const std::vector<std::string> &Args) {
+/// Runs the driver with \p Args, returning its exit code and its output
+/// (stdout + stderr, or stdout alone without \p MergeStderr). The 60s
+/// frame-less read bounds a wedged driver.
+RunResult runDriver(const std::vector<std::string> &Args,
+                    bool MergeStderr = true) {
   RunResult R;
   Subprocess P;
-  Status S = P.spawn(relax::test::driverPath(), Args, /*MergeStderr=*/true);
+  Status S = P.spawn(relax::test::driverPath(), Args, MergeStderr);
   EXPECT_TRUE(S.ok()) << (S.ok() ? "" : S.message());
   if (!S.ok())
     return R;
@@ -365,6 +385,250 @@ TEST(DriverShardsFlag, RejectsBadValues) {
   EXPECT_NE(R.Output.find("needs a final bounded or z3 tier"),
             std::string::npos)
       << R.Output;
+}
+
+//===----------------------------------------------------------------------===//
+// One verify configuration: CLI, served and in-process jobs agree
+//===----------------------------------------------------------------------===//
+
+/// A `--serve` daemon on a fresh Unix socket; SIGKILLed (and its socket
+/// file removed) on destruction. Addr is empty when it never printed its
+/// readiness line.
+struct ServeDaemon {
+  Subprocess Proc;
+  std::string Path;
+  std::string Addr;
+
+  ServeDaemon() {
+    static std::atomic<unsigned> Counter{0};
+    Path = "/tmp/relaxc_cli_" + std::to_string(::getpid()) + "_" +
+           std::to_string(Counter.fetch_add(1)) + ".sock";
+    if (!Proc.spawn(relax::test::driverPath(), {"--serve=unix:" + Path}).ok())
+      return;
+    std::string Line;
+    Deadline D = Deadline::inMs(30'000);
+    char C = 0;
+    while (C != '\n' && !D.expired()) {
+      pollfd P{Proc.readFd(), POLLIN, 0};
+      if (::poll(&P, 1, D.clampTimeoutMs(-1)) <= 0 ||
+          ::read(Proc.readFd(), &C, 1) != 1)
+        break;
+      Line.push_back(C);
+    }
+    const char *Tag = "serving on ";
+    size_t At = Line.find(Tag);
+    if (At != std::string::npos && C == '\n')
+      Addr = Line.substr(At + std::strlen(Tag), Line.size() - 1 - At -
+                                                   std::strlen(Tag));
+  }
+  ~ServeDaemon() {
+    Proc.terminate();
+    ::unlink(Path.c_str());
+  }
+};
+
+std::string stripMs(const std::string &S) {
+  static const std::regex MsRe("\\([0-9.]* ms\\)");
+  return std::regex_replace(S, MsRe, "");
+}
+
+/// Sum of the report's "N undecided" counts (gave-ups are never cached,
+/// so a warm run re-queries exactly those).
+unsigned long undecided(const std::string &Report) {
+  static const std::regex Re("([0-9]+) undecided");
+  unsigned long N = 0;
+  for (std::sregex_iterator It(Report.begin(), Report.end(), Re), End;
+       It != End; ++It)
+    N += std::stoul((*It)[1].str());
+  return N;
+}
+
+struct ConfigRow {
+  const char *Name;
+  std::vector<std::string> Flags;
+  std::function<void(VerifyWireRequest &)> Set;
+  bool NeedsZ3;
+};
+
+const ConfigRow ConfigRows[] = {
+    {"Default", {}, [](VerifyWireRequest &) {}, true},
+    {"Tiered",
+     {"--pipeline=simplify,bounded,z3"},
+     [](VerifyWireRequest &R) { R.Pipeline = "simplify,bounded,z3"; },
+     true},
+    {"BoundedPipeline",
+     {"--pipeline=simplify,bounded"},
+     [](VerifyWireRequest &R) { R.Pipeline = "simplify,bounded"; },
+     false},
+    {"SolverBounded",
+     {"--solver=bounded"},
+     [](VerifyWireRequest &R) { R.SolverName = "bounded"; },
+     false},
+    {"NoSafety",
+     {"--no-safety"},
+     [](VerifyWireRequest &R) { R.NoSafety = true; },
+     true},
+    {"OriginalOnlyVerbose",
+     {"--original-only", "--verbose"},
+     [](VerifyWireRequest &R) {
+       R.OriginalOnly = true;
+       R.Verbose = true;
+     },
+     true},
+    {"Jobs4", {"--jobs=4"}, [](VerifyWireRequest &R) { R.Jobs = 4; }, true},
+    {"SolverStats",
+     {"--solver-stats"},
+     [](VerifyWireRequest &R) { R.SolverStats = true; },
+     true},
+};
+
+const char *CaseStudies[] = {"swish.rlx",         "water.rlx",
+                             "lu.rlx",            "task_skip.rlx",
+                             "sampling.rlx",      "memoize.rlx",
+                             "water_modular.rlx", "shared_callee.rlx"};
+
+class VerifyConfigIdentity : public ::testing::TestWithParam<ConfigRow> {};
+
+TEST_P(VerifyConfigIdentity, CliServedAndJobAgreeOnCaseStudies) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  const ConfigRow &Row = GetParam();
+  if (Row.NeedsZ3)
+    RELAXC_SKIP_WITHOUT_Z3();
+  for (const char *Name : CaseStudies) {
+    RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, Name);
+    const std::string Path = relax::test::examplePath(Name);
+    const std::string Tag = std::string(Row.Name) + " " + Name;
+    VerifyWireRequest Req;
+    Req.FileName = Path;
+    Req.Source = Source;
+    Row.Set(Req);
+    const std::string Fp = verifyJobFingerprint(Req);
+
+    // The job runs as the daemon runs it: behind a per-fingerprint
+    // in-memory cache, which reports like the CLI's cold --cache-dir.
+    PersistentCache Mem("", Fp, /*VerifyPpm=*/0);
+    VerifyWireResponse Job = runVerifyJob(Req, &Mem);
+    ASSERT_FALSE(Job.IsError) << Tag << ": " << Job.Error;
+
+    char DirTemplate[] = "/tmp/relaxc_cli_cache_XXXXXX";
+    ASSERT_NE(::mkdtemp(DirTemplate), nullptr);
+    const std::string Dir = DirTemplate;
+    std::vector<std::string> Args = {"verify", Path};
+    Args.insert(Args.end(), Row.Flags.begin(), Row.Flags.end());
+    std::vector<std::string> CliArgs = Args;
+    CliArgs.push_back("--cache-dir=" + Dir);
+    RunResult Cli = runDriver(CliArgs, /*MergeStderr=*/false);
+    EXPECT_EQ(Cli.Exit, Job.ExitStatus) << Tag;
+    EXPECT_EQ(stripMs(Cli.Output), stripMs(Job.Report)) << Tag;
+
+    {
+      ServeDaemon D;
+      ASSERT_FALSE(D.Addr.empty()) << Tag << ": daemon never became ready";
+      std::vector<std::string> ConnectArgs = Args;
+      ConnectArgs.push_back("--connect=" + D.Addr);
+      RunResult Served = runDriver(ConnectArgs, /*MergeStderr=*/false);
+      EXPECT_EQ(Served.Exit, Job.ExitStatus) << Tag;
+      EXPECT_EQ(stripMs(Served.Output), stripMs(Job.Report)) << Tag;
+    }
+
+    // The CLI's on-disk cache, loaded under the job's fingerprint, answers
+    // the same config: nothing new to store, and when every obligation
+    // settled (gave-ups are never stored), no lookup misses, so no query
+    // reaches a solver.
+    PersistentCache Warm(Dir, Fp, /*VerifyPpm=*/0);
+    Warm.load();
+    VerifyWireRequest WarmReq = Req;
+    WarmReq.SolverStats = true;
+    VerifyWireResponse Again = runVerifyJob(WarmReq, &Warm);
+    EXPECT_EQ(Again.ExitStatus, Job.ExitStatus) << Tag;
+    EXPECT_GT(Warm.stats().Loaded, 0u)
+        << Tag << ": the CLI's cache was not found under verifyJobFingerprint";
+    EXPECT_EQ(Warm.stats().Appended, 0u) << Tag << "\n" << Again.Report;
+    if (undecided(Job.Report) == 0)
+      EXPECT_EQ(Warm.stats().Misses, 0u) << Tag << "\n" << Again.Report;
+    std::filesystem::remove_all(Dir);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, VerifyConfigIdentity, ::testing::ValuesIn(ConfigRows),
+    [](const ::testing::TestParamInfo<ConfigRow> &I) {
+      return std::string(I.param.Name);
+    });
+
+//===----------------------------------------------------------------------===//
+// dump-vcs
+//===----------------------------------------------------------------------===//
+
+/// The first "<N> VCs" count after \p Title in \p Text, or -1.
+long vcCount(const std::string &Text, const std::string &Title) {
+  size_t At = Text.find(Title);
+  if (At == std::string::npos)
+    return -1;
+  std::smatch M;
+  std::string Rest = Text.substr(At + Title.size());
+  if (!std::regex_search(Rest, M, std::regex("^[^0-9\n]*([0-9]+) VCs")))
+    return -1;
+  return std::stol(M[1].str());
+}
+
+TEST(DriverDumpVcs, CountsMatchTheVerifyReport) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  for (const char *Name : CaseStudies) {
+    const std::string Path = relax::test::examplePath(Name);
+    RunResult Dump = runDriver({"dump-vcs", Path}, /*MergeStderr=*/false);
+    ASSERT_EQ(Dump.Exit, 0) << Name;
+    RunResult Verify = runDriver({"verify", Path, "--pipeline=simplify"},
+                                 /*MergeStderr=*/false);
+    long O = vcCount(Dump.Output, "== |-o:");
+    long R = vcCount(Dump.Output, "== |-r:");
+    EXPECT_GT(O, 0) << Name;
+    EXPECT_GT(R, 0) << Name;
+    EXPECT_EQ(O, vcCount(Verify.Output, "|-o (")) << Name;
+    EXPECT_EQ(R, vcCount(Verify.Output, "|-r (")) << Name;
+  }
+}
+
+TEST(DriverDumpVcs, SmtLibScriptsParseAndAnswerAsExpected) {
+  RELAXC_SKIP_WITHOUT_DRIVER();
+  RELAXC_SKIP_WITHOUT_Z3();
+#if RELAXC_HAVE_Z3
+  const std::string Marker = "  ; SMT-LIB (";
+  const std::string CheckSat = "(check-sat)\n";
+  size_t Scripts = 0;
+  for (const char *Name : CaseStudies) {
+    RunResult Dump = runDriver(
+        {"dump-vcs", relax::test::examplePath(Name), "--smtlib"},
+        /*MergeStderr=*/false);
+    ASSERT_EQ(Dump.Exit, 0) << Name;
+    const std::string &Out = Dump.Output;
+    for (size_t At = Out.find(Marker); At != std::string::npos;
+         At = Out.find(Marker, At + 1)) {
+      size_t Open = At + Marker.size();
+      size_t Close = Out.find(" expected)\n", Open);
+      ASSERT_NE(Close, std::string::npos) << Name;
+      std::string Expected = Out.substr(Open, Close - Open);
+      size_t Begin = Out.find('\n', Close) + 1;
+      size_t End = Out.find(CheckSat, Begin);
+      ASSERT_NE(End, std::string::npos) << Name;
+      std::string Script = Out.substr(Begin, End + CheckSat.size() - Begin);
+      ++Scripts;
+      z3::context C;
+      z3::solver S(C);
+      try {
+        S.add(C.parse_string(Script.c_str()));
+      } catch (const z3::exception &E) {
+        ADD_FAILURE() << Name << ": " << E.msg() << "\n" << Script;
+        continue;
+      }
+      z3::check_result Got = S.check();
+      EXPECT_EQ(Got == z3::unsat ? "unsat" : Got == z3::sat ? "sat" : "unknown",
+                Expected)
+          << Name << "\n" << Script;
+    }
+  }
+  EXPECT_GT(Scripts, 100u) << "the dumps carried too few SMT-LIB scripts";
+#endif
 }
 
 } // namespace
