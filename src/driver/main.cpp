@@ -90,9 +90,12 @@ void printUsage() {
       "  --pipeline=<tier,...>     tiered portfolio discharge for `verify`\n"
       "                            (tiers: simplify, bounded, z3; e.g.\n"
       "                            --pipeline=simplify,bounded,z3)\n"
-      "  --bounded-steps=<n>       per-query quantifier-step budget of the\n"
-      "                            bounded tier and of --solver=bounded\n"
-      "                            (default 200000)\n"
+      "  --bounded-steps=<n>       per-query quantifier-step budget B of a\n"
+      "                            final bounded tier and of\n"
+      "                            --solver=bounded (default 200000); a\n"
+      "                            non-final bounded tier runs with B/16\n"
+      "                            (and 1/16 of its candidates), the z3\n"
+      "                            tier without Z3 with 16*B\n"
       "  --bounded-learning=<on|off>\n"
       "                            conflict-driven nogood learning in the\n"
       "                            bounded search (default on; verdicts\n"

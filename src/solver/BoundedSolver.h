@@ -135,6 +135,9 @@ public:
 
   const char *name() const override { return "bounded"; }
 
+  /// The domains and budgets this solver runs with.
+  const BoundedSolverOptions &options() const { return Opts; }
+
   Result<SatResult>
   checkSat(const std::vector<const BoolExpr *> &Formulas) override;
 

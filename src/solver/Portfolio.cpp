@@ -10,6 +10,7 @@
 #include "solver/ShardPool.h"
 #include "support/Casting.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace relax;
@@ -121,6 +122,10 @@ std::string relax::portfolioConfigFingerprint(const PortfolioOptions &Opts,
   Out += " " + boundedOptionsFingerprint(Opts.Bounded);
   Out += " final-step-factor=" + std::to_string(Opts.FinalBoundedStepFactor);
   Out += std::string(" smt=") + (HaveSmtBackend ? "z3" : "bounded-full");
+  // A non-final bounded tier runs with the configured budgets divided by
+  // the same factor. Verdicts cached before that rule split Unknown and
+  // Sat under other budgets, so their keys must differ.
+  Out += " probe-budget=1/" + std::to_string(Opts.FinalBoundedStepFactor);
   return Out;
 }
 
@@ -136,6 +141,33 @@ void PortfolioStats::merge(const PortfolioStats &O) {
   Escalations += O.Escalations;
 }
 
+namespace {
+
+/// The rungs of the bounded budget ladder (see PortfolioOptions::Bounded).
+enum class BudgetRung { Probe, Final, Full };
+
+/// The options a bounded tier on rung \p R runs with: the configured
+/// budgets divided (Probe) or multiplied (Full) by FinalBoundedStepFactor.
+/// A nonzero budget never derives to 0, because MaxQuantSteps == 0 means
+/// unlimited (and MaxCandidates == 0 trips at once). Only the final rungs
+/// treat exhaustion as Unsat.
+BoundedSolverOptions ladderRung(const PortfolioOptions &O, BudgetRung R) {
+  BoundedSolverOptions B = O.Bounded;
+  B.ExhaustionMeansUnsat = R != BudgetRung::Probe;
+  uint64_t F = std::max<uint64_t>(1, O.FinalBoundedStepFactor);
+  for (uint64_t *Budget : {&B.MaxCandidates, &B.MaxQuantSteps}) {
+    if (*Budget == 0)
+      continue;
+    if (R == BudgetRung::Probe)
+      *Budget = std::max<uint64_t>(1, *Budget / F);
+    else if (R == BudgetRung::Full)
+      *Budget *= F;
+  }
+  return B;
+}
+
+} // namespace
+
 PortfolioSolver::PortfolioSolver(AstContext &Ctx, PortfolioOptions Opts,
                                  BackendFactory SmtFactory)
     : Ctx(Ctx), Opts(std::move(Opts)), Simp(Ctx) {
@@ -145,62 +177,42 @@ PortfolioSolver::PortfolioSolver(AstContext &Ctx, PortfolioOptions Opts,
   Backends.resize(N);
   BoundedTier.resize(N, nullptr);
   TierNames.resize(N);
-  // The Smt tier's construction, shared with the pool-less shard
-  // degradation: the real backend when a factory exists, otherwise
-  // bounded-at-full-domain (same domains, relaxed budgets, authoritative
-  // exhaustion).
-  auto MakeSmtTier = [&](size_t I) {
-    if (SmtFactory) {
-      Backends[I] = SmtFactory();
-      TierNames[I] = Backends[I]->name();
-      return;
-    }
-    BoundedSolverOptions B = this->Opts.Bounded;
-    B.ExhaustionMeansUnsat = true;
-    if (B.MaxQuantSteps != 0)
-      B.MaxQuantSteps *= this->Opts.FinalBoundedStepFactor;
-    B.MaxCandidates *= this->Opts.FinalBoundedStepFactor;
-    auto S = std::make_unique<BoundedSolver>(B, &Ctx);
-    BoundedTier[I] = S.get();
-    Backends[I] = std::move(S);
-    TierNames[I] = "bounded-full";
+  struct Built {
+    std::unique_ptr<Solver> S;
+    BoundedSolver *B = nullptr; ///< S, when it is a bounded search
+    const char *Name = nullptr;
   };
-
+  auto MakeBounded = [&](BudgetRung R, const char *Name) {
+    Built T;
+    auto S = std::make_unique<BoundedSolver>(ladderRung(this->Opts, R), &Ctx);
+    T.B = S.get();
+    T.S = std::move(S);
+    T.Name = Name;
+    return T;
+  };
+  // The z3 tier: the real backend when a factory exists, otherwise
+  // bounded-full (same domains, the ladder's top budgets).
+  auto MakeSmt = [&] {
+    if (!SmtFactory)
+      return MakeBounded(BudgetRung::Full, "bounded-full");
+    Built T;
+    T.S = SmtFactory();
+    T.Name = T.S->name();
+    return T;
+  };
   // The in-process tail the shard workers run: exactly what a worker
   // process builds from ShardWorkerPipeline and the request's bounded
   // configuration. Used for the tier itself when there is no pool, and
   // as the runtime fallback when there is one.
-  struct Tail {
-    std::unique_ptr<Solver> S;
-    BoundedSolver *B = nullptr;
-    const char *Name = nullptr;
+  auto MakeShardTail = [&] {
+    return this->Opts.ShardWorkerPipeline == "bounded"
+               ? MakeBounded(BudgetRung::Final, "bounded")
+               : MakeSmt();
   };
-  auto MakeShardTail = [&]() -> Tail {
-    Tail T;
-    if (this->Opts.ShardWorkerPipeline == "bounded") {
-      BoundedSolverOptions B = this->Opts.Bounded;
-      B.ExhaustionMeansUnsat = true;
-      auto S = std::make_unique<BoundedSolver>(B, &Ctx);
-      T.B = S.get();
-      T.S = std::move(S);
-      T.Name = "bounded";
-      return T;
-    }
-    if (SmtFactory) {
-      T.S = SmtFactory();
-      T.Name = T.S->name();
-      return T;
-    }
-    BoundedSolverOptions B = this->Opts.Bounded;
-    B.ExhaustionMeansUnsat = true;
-    if (B.MaxQuantSteps != 0)
-      B.MaxQuantSteps *= this->Opts.FinalBoundedStepFactor;
-    B.MaxCandidates *= this->Opts.FinalBoundedStepFactor;
-    auto S = std::make_unique<BoundedSolver>(B, &Ctx);
-    T.B = S.get();
-    T.S = std::move(S);
-    T.Name = "bounded-full";
-    return T;
+  auto Install = [&](size_t I, Built T) {
+    BoundedTier[I] = T.B;
+    Backends[I] = std::move(T.S);
+    TierNames[I] = T.Name;
   };
 
   for (size_t I = 0; I != N; ++I) {
@@ -211,20 +223,15 @@ PortfolioSolver::PortfolioSolver(AstContext &Ctx, PortfolioOptions Opts,
       assert(I == 0 && "simplify tier must come first");
       TierNames[I] = "simplify";
       break;
-    case TierKind::Bounded: {
-      BoundedSolverOptions B = this->Opts.Bounded;
-      // As a non-final tier, exhaustion escalates: bounded Unsat only
-      // means "no model in the domain". As the final tier it keeps the
-      // classic authoritative convention.
-      B.ExhaustionMeansUnsat = Last;
-      auto S = std::make_unique<BoundedSolver>(B, &Ctx);
-      BoundedTier[I] = S.get();
-      Backends[I] = std::move(S);
-      TierNames[I] = "bounded";
+    case TierKind::Bounded:
+      // As a non-final tier it can only settle by finding a model, so it
+      // runs as the ladder's probe; as the final tier it keeps the
+      // configured budgets and authoritative exhaustion.
+      Install(I, MakeBounded(Last ? BudgetRung::Final : BudgetRung::Probe,
+                             "bounded"));
       break;
-    }
     case TierKind::Smt:
-      MakeSmtTier(I);
+      Install(I, MakeSmt());
       break;
     case TierKind::Shard:
       assert(Last && "shard tier must come last");
@@ -235,7 +242,7 @@ PortfolioSolver::PortfolioSolver(AstContext &Ctx, PortfolioOptions Opts,
         TierNames[I] = "shard";
         // Graceful degradation target: when the pool is unhealthy the
         // tier answers from this identical in-process tail at runtime.
-        Tail T = MakeShardTail();
+        Built T = MakeShardTail();
         ShardFallback = std::move(T.S);
         ShardFallbackBounded = T.B;
         ShardFallbackName = T.Name;
@@ -244,10 +251,7 @@ PortfolioSolver::PortfolioSolver(AstContext &Ctx, PortfolioOptions Opts,
         // Pool-less degradation to the in-process tail the workers would
         // run (so `--shards=0` and a pool-less test config mean "same
         // pipeline, no processes").
-        Tail T = MakeShardTail();
-        BoundedTier[I] = T.B;
-        Backends[I] = std::move(T.S);
-        TierNames[I] = T.Name;
+        Install(I, MakeShardTail());
       }
       break;
     }
@@ -434,11 +438,12 @@ PortfolioSolver::checkRangeImpl(size_t From, size_t To,
       switch (BS->lastStop()) {
       case BoundedSolver::StopReason::CandidateBudget:
         Why = "candidate budget (" +
-              std::to_string(Opts.Bounded.MaxCandidates) + ") tripped";
+              std::to_string(BS->options().MaxCandidates) + ") tripped";
         BudgetTrip = true;
         break;
       case BoundedSolver::StopReason::StepBudget:
-        Why = "quantifier-step budget tripped";
+        Why = "quantifier-step budget (" +
+              std::to_string(BS->options().MaxQuantSteps) + ") tripped";
         BudgetTrip = true;
         break;
       case BoundedSolver::StopReason::Decided:

@@ -19,12 +19,14 @@
 ///     candidate and quantifier-step budgets. Sat answers carry a real
 ///     witness and are exact; as a non-final tier, exhaustion and budget
 ///     trips both escalate (bounded Unsat is only "no model in the
-///     domain"). As the final tier it keeps the classic authoritative
-///     exhaustion-means-Unsat convention.
+///     domain"), so it only looks for models and runs with 1/16 of the
+///     configured budgets. As the final tier it keeps the configured
+///     budgets and the classic authoritative exhaustion-means-Unsat
+///     convention.
 ///   * `z3` — the SMT backend. When Z3 is not built (or no backend
 ///     factory is supplied) the tier degrades to `bounded-full`: the
-///     bounded search at the same domains with a relaxed (16x) step
-///     budget and authoritative exhaustion.
+///     bounded search at the same domains with 16x the configured
+///     budgets and authoritative exhaustion.
 ///   * `shard` — the out-of-process tier: escalated queries are
 ///     serialized over the wire to a pool of `--discharge-worker`
 ///     subprocesses (solver/ShardPool.h), each owning its own AstContext
@@ -79,20 +81,27 @@ std::string formatPipeline(const std::vector<TierKind> &Tiers);
 struct PortfolioOptions {
   std::vector<TierKind> Tiers = {TierKind::Simplify, TierKind::Bounded,
                                  TierKind::Smt};
-  /// Domains and per-query budgets of the `bounded` tier. Defaults add a
+  /// Domains and per-query budgets B of the bounded search. Defaults add a
   /// quantifier-step budget (unlike a standalone BoundedSolver) so
   /// quantified queries escalate instead of enumerating unbounded, and
-  /// shrink the candidate budget so a hopeless search escalates quickly —
-  /// as a non-final tier its job is to settle the easy obligations fast,
-  /// not to exhaust huge assignment spaces.
+  /// shrink the candidate budget so a hopeless search escalates quickly.
+  /// Every bounded tier searches these domains; its budgets come from one
+  /// ladder over B, with F = FinalBoundedStepFactor:
+  ///   * a non-final `bounded` tier runs with B/F. It can only settle a
+  ///     query by finding a model, and the models it finds are small;
+  ///   * a final `bounded` tier (and the shard workers' `bounded` tail)
+  ///     runs with B;
+  ///   * `bounded-full`, the `z3` tier without Z3, runs with F·B.
+  /// A nonzero budget never derives to 0 (0 quantifier steps means
+  /// unlimited).
   BoundedSolverOptions Bounded = []() {
     BoundedSolverOptions B;
     B.MaxCandidates = 100'000;
     B.MaxQuantSteps = 200'000;
     return B;
   }();
-  /// Budget multipliers for the `bounded-full` final-tier fallback
-  /// (applied to the corresponding `Bounded` budgets).
+  /// The ladder's step between rungs: `bounded-full` multiplies the
+  /// `Bounded` budgets by it, a non-final `bounded` tier divides them.
   uint64_t FinalBoundedStepFactor = 16;
   /// Worker-process pool backing the `shard` tier. Not owned; many
   /// portfolios (one per scheduler worker) share one pool. Null degrades
@@ -114,11 +123,11 @@ std::string boundedOptionsFingerprint(const BoundedSolverOptions &Opts);
 /// verdict, for the persistent verdict cache's on-disk keys: the
 /// effective tier chain (a trailing `shard` tier is replaced by its
 /// ShardWorkerPipeline tail, because sharded and in-process verdicts are
-/// identical by construction), the bounded configuration, the final-tier
-/// budget factor, and whether an SMT backend actually backs the `z3`
-/// tier (\p HaveSmtBackend — the bounded-full degradation is a different
-/// decision procedure, so its verdicts must not be served to a real-Z3
-/// run or vice versa).
+/// identical by construction), the bounded configuration, the budget
+/// ladder (the final-tier factor and the non-final probe's share), and
+/// whether an SMT backend actually backs the `z3` tier (\p HaveSmtBackend
+/// — the bounded-full degradation is a different decision procedure, so
+/// its verdicts must not be served to a real-Z3 run or vice versa).
 std::string portfolioConfigFingerprint(const PortfolioOptions &Opts,
                                        bool HaveSmtBackend);
 
@@ -193,8 +202,8 @@ public:
   const char *settledBy() const override { return LastSettledBy; }
 
   /// Human-readable give-up trail of the last query, e.g.
-  /// "simplify: not a constant; bounded: quantifier-step budget
-  /// (200000) tripped".
+  /// "simplify: did not fold to a constant; bounded: quantifier-step budget
+  /// (12500) tripped". Budgets are the ones the tier itself ran with.
   std::string giveUpTrail() const override { return LastTrail; }
 
   const PortfolioStats &stats() const { return Stats; }

@@ -16,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace relax {
 namespace test {
@@ -77,6 +79,59 @@ inline std::string driverPath() {
 #else
   return std::string();
 #endif
+}
+
+/// One failure-injection mutant of a case study: the first occurrence of
+/// \c From in \c File becomes \c To, and the result must not verify.
+struct ExampleMutation {
+  const char *Name; ///< the ExamplesMutated test that pins it
+  const char *File;
+  const char *From;
+  const char *To;
+};
+
+/// Every case-study mutant (verifier_tests pins that each one fails; the
+/// portfolio suite pins that the tiered pipeline agrees with plain Z3).
+inline constexpr ExampleMutation ExampleMutations[] = {
+    // Allowing the threshold to drop below 10 breaks the acceptability
+    // property (an annotation bug the verifier caught in development).
+    {"SwishWeakenedRelaxation", "swish.rlx", "10 <= max_r));",
+     "9 <= max_r));"},
+    {"SwishStrongerRelate", "swish.rlx", "10 <= num_r<o> && 10 <= num_r<r>",
+     "10 <= num_r<o> && 11 <= num_r<r>"},
+    // Dropping the lockstep assume removes the bridge that lets the bound
+    // transfer into the divergent branch.
+    {"WaterWithoutAssume", "water.rlx", "assume (K < len_FF);\n    if",
+     "skip;\n    if"},
+    {"WaterWeakerRequires", "water.rlx", "requires (N >= 0 && N <= len(RS)",
+     "requires (N >= 0 && N - 1 <= len(RS)"},
+    {"LuTighterRelate", "lu.rlx", "relate lipschitz : max<o> - max<r> <= e<o>",
+     "relate lipschitz : max<o> - max<r> <= e<o> - 1"},
+    {"LuWiderRelaxation", "lu.rlx",
+     "relax (a) st (original_a - e <= a && a <= original_a + e)",
+     "relax (a) st (original_a - 2 * e <= a && a <= original_a + 2 * e)"},
+    // Dropping bump's nonnegativity promise starves every call site: the
+    // caller's assert and relate depend on the summary, not the body.
+    {"SharedCalleeWeakerBumpContract", "shared_callee.rlx",
+     "rensures (0 <= x<o> && 0 <= x<r>);", "rensures (true);"},
+};
+
+/// The mutant \p Name from ExampleMutations (which must contain it).
+inline const ExampleMutation &exampleMutation(std::string_view Name) {
+  for (const ExampleMutation &M : ExampleMutations)
+    if (Name == M.Name)
+      return M;
+  std::abort();
+}
+
+/// Applies \p M to the case-study source \p Source; empty when the
+/// mutation anchor is missing.
+inline std::string applyMutation(const ExampleMutation &M,
+                                 std::string Source) {
+  size_t Pos = Source.find(M.From);
+  if (Pos == std::string::npos)
+    return std::string();
+  return Source.replace(Pos, std::string_view(M.From).size(), M.To);
 }
 
 /// True when the Z3 decision-procedure backend was compiled in. Tests that

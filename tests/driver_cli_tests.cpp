@@ -631,4 +631,51 @@ TEST(DriverDumpVcs, SmtLibScriptsParseAndAnswerAsExpected) {
 #endif
 }
 
+// The persistent cache keys verdicts by this fingerprint. A tiered
+// pipeline's key carries the probe-budget rule, so cache files written
+// before non-final bounded tiers ran with 1/16 of the budgets miss
+// instead of serving verdicts computed under the old budgets. The single
+// backend's key does not change.
+TEST(VerifyFingerprint, TieredKeyCarriesTheProbeBudget) {
+  VerifyWireRequest Tiered;
+  Tiered.Pipeline = "simplify,bounded,z3";
+  const std::string Before =
+      std::string("pipeline=simplify,bounded,z3 bounded=-6,6,3,-2,2,100000,"
+                  "200000,exhaust-unsat,search,learn,restarts,"
+                  "max-nogoods=10000 final-step-factor=16 smt=") +
+      (relax::test::haveZ3() ? "z3" : "bounded-full");
+  EXPECT_NE(verifyJobFingerprint(Tiered), Before);
+  EXPECT_EQ(verifyJobFingerprint(Tiered), Before + " probe-budget=1/16");
+  EXPECT_EQ(verifyJobFingerprint(VerifyWireRequest()), "backend=z3");
+}
+
+// --explain's escalation trail names the budget each bounded tier itself
+// ran with: the non-final tier's are 1/16 of the configured ones (100000
+// candidates, 200000 steps by default), bounded-full's 16 times them.
+TEST(DriverExplain, TrailNamesTheBudgetTheTierRanWith) {
+  const std::string Water = relax::test::examplePath("water.rlx");
+  const std::string Tiered = "--pipeline=simplify,bounded,z3";
+  auto Trail = [&](std::vector<std::string> Args) {
+    Args.insert(Args.begin(), {"verify", Water, Tiered});
+    std::string Out = runDriver(Args).Output;
+    size_t At = Out.find("escalation trail: ");
+    return At == std::string::npos ? Out
+                                   : Out.substr(At, Out.find('\n', At) - At);
+  };
+  if (relax::test::haveZ3()) {
+    EXPECT_EQ(Trail({"--explain=r:0"}),
+              "escalation trail: simplify: did not fold to a constant; "
+              "bounded: quantifier-step budget (12500) tripped");
+    EXPECT_EQ(Trail({"--explain=r:4"}),
+              "escalation trail: simplify: did not fold to a constant; "
+              "bounded: candidate budget (6250) tripped");
+    return;
+  }
+  // Without Z3 the z3 tier is bounded-full.
+  EXPECT_EQ(Trail({"--bounded-steps=1000", "--explain=r:0"}),
+            "escalation trail: simplify: did not fold to a constant; "
+            "bounded: quantifier-step budget (62) tripped; "
+            "bounded-full: quantifier-step budget (16000) tripped");
+}
+
 } // namespace

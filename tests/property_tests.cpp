@@ -14,7 +14,8 @@
 //    scan had (it may only decide obligations the blind scan's budget
 //    trips on), and the learning-off engine is schedule-independent too;
 //  * the bounded backend and Z3 agree on generated falsifiable mutants
-//    (differential corpus with injected refutable assertions).
+//    (differential corpus with injected refutable assertions), and the
+//    budgeted model-finding bounded tier never changes a report.
 //
 // Every failure message leads with the generator seed: the corpus is a
 // pure function of the seed, so failures reproduce exactly.
@@ -435,6 +436,38 @@ TEST(PropertyDifferential, BoundedAndZ3AgreeOnFalsifiableMutants) {
   // The corpus must actually exercise both the agreement and the
   // injected refutations.
   EXPECT_GT(Decisive, 100u);
+  EXPECT_GT(Refuted, 20u);
+}
+
+// A non-final bounded tier only looks for models, with 1/16 of the
+// configured budgets, and the final bounded tail behind it searches the
+// same domains in the same canonical order with all of them. So the probe
+// may change which tier settles an obligation, never its status or its
+// counterexample: with and without the probe, every report is identical.
+// Z3-free, so it holds in every build configuration.
+TEST(PropertyDifferential, BoundedProbeChangesWhoSettlesNeverWhat) {
+  ProgramGen::Options GO;
+  GO.MaxStmts = 3;
+  GO.InjectFalsifiableAssert = true;
+
+  unsigned Refuted = 0;
+  for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
+    ProgramGen Gen(Seed, GO);
+    std::string Source = Gen.gen();
+    relax::test::ParsedProgram P = parseGenerated(Seed, Source);
+    if (!P.ok())
+      continue;
+
+    PortfolioOptions TailOnly = boundedPipeline();
+    TailOnly.Tiers = {TierKind::Simplify, TierKind::Shard};
+    VerifyReport A = runPortfolio(P, boundedPipeline(), 1);
+    VerifyReport B = runPortfolio(P, TailOnly, 1);
+    expectIdenticalReports(A, B, Seed,
+                           "simplify,bounded,shard vs simplify,shard");
+    Refuted += A.Original.count(VCStatus::Failed) +
+               A.Relaxed.count(VCStatus::Failed);
+  }
+  // The corpus must actually refute, or the pin says nothing.
   EXPECT_GT(Refuted, 20u);
 }
 

@@ -18,16 +18,14 @@ using namespace relax::test;
 
 namespace {
 
-/// Applies a textual mutation and expects verification to fail.
-void expectMutationFails(const std::string &Source, const std::string &From,
-                         const std::string &To) {
-  std::string Mutated = Source;
-  size_t Pos = Mutated.find(From);
-  ASSERT_NE(Pos, std::string::npos) << "mutation anchor not found: " << From;
-  Mutated.replace(Pos, From.size(), To);
+/// Applies the named case-study mutation and expects verification to fail.
+void expectMutationFails(const std::string &Source, const char *Name) {
+  const ExampleMutation &M = exampleMutation(Name);
+  std::string Mutated = applyMutation(M, Source);
+  ASSERT_FALSE(Mutated.empty()) << "mutation anchor not found: " << M.From;
   VerifyReport R = verifySource(Mutated);
   EXPECT_FALSE(R.verified()) << "mutation should break verification: "
-                             << From << " -> " << To;
+                             << M.From << " -> " << M.To;
 }
 
 } // namespace
@@ -89,48 +87,37 @@ TEST(Examples, MemoizeVerifies) {
 TEST(ExamplesMutated, SwishWeakenedRelaxationFails) {
   RELAXC_SKIP_WITHOUT_Z3();
   RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "swish.rlx");
-  // Allowing the threshold to drop below 10 breaks the acceptability
-  // property (this is the annotation bug the verifier caught during
-  // development of this repository).
-  expectMutationFails(Source, "10 <= max_r));", "9 <= max_r));");
+  expectMutationFails(Source, "SwishWeakenedRelaxation");
 }
 
 TEST(ExamplesMutated, SwishStrongerRelateFails) {
   RELAXC_SKIP_WITHOUT_Z3();
   RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "swish.rlx");
-  expectMutationFails(Source, "10 <= num_r<o> && 10 <= num_r<r>",
-                      "10 <= num_r<o> && 11 <= num_r<r>");
+  expectMutationFails(Source, "SwishStrongerRelate");
 }
 
 TEST(ExamplesMutated, WaterWithoutAssumeFails) {
   RELAXC_SKIP_WITHOUT_Z3();
   RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "water.rlx");
-  // Dropping the lockstep assume removes the bridge that lets the bound
-  // transfer into the divergent branch.
-  expectMutationFails(Source, "assume (K < len_FF);\n    if",
-                      "skip;\n    if");
+  expectMutationFails(Source, "WaterWithoutAssume");
 }
 
 TEST(ExamplesMutated, WaterWeakerRequiresFails) {
   RELAXC_SKIP_WITHOUT_Z3();
   RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "water.rlx");
-  expectMutationFails(Source, "requires (N >= 0 && N <= len(RS)",
-                      "requires (N >= 0 && N - 1 <= len(RS)");
+  expectMutationFails(Source, "WaterWeakerRequires");
 }
 
 TEST(ExamplesMutated, LuTighterRelateFails) {
   RELAXC_SKIP_WITHOUT_Z3();
   RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "lu.rlx");
-  expectMutationFails(Source, "relate lipschitz : max<o> - max<r> <= e<o>",
-                      "relate lipschitz : max<o> - max<r> <= e<o> - 1");
+  expectMutationFails(Source, "LuTighterRelate");
 }
 
 TEST(ExamplesMutated, LuWiderRelaxationFails) {
   RELAXC_SKIP_WITHOUT_Z3();
   RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "lu.rlx");
-  expectMutationFails(
-      Source, "relax (a) st (original_a - e <= a && a <= original_a + e)",
-      "relax (a) st (original_a - 2 * e <= a && a <= original_a + 2 * e)");
+  expectMutationFails(Source, "LuWiderRelaxation");
 }
 
 //===----------------------------------------------------------------------===//
@@ -208,10 +195,7 @@ TEST(Examples, SharedCalleeVerifies) {
 TEST(ExamplesMutated, SharedCalleeWeakerBumpContractFails) {
   RELAXC_SKIP_WITHOUT_Z3();
   RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "shared_callee.rlx");
-  // Dropping bump's nonnegativity promise starves every call site: the
-  // caller's assert and relate depend on the summary, not the body.
-  expectMutationFails(Source, "rensures (0 <= x<o> && 0 <= x<r>);",
-                      "rensures (true);");
+  expectMutationFails(Source, "SharedCalleeWeakerBumpContract");
 }
 
 namespace {
