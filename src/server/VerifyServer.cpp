@@ -606,8 +606,8 @@ VerifyOutcome VerifyPlan::run(AstContext &Ctx, const Program &Prog,
       VO.SmtFactory = [&Ctx] {
         return std::make_unique<Z3Solver>(Ctx.symbols());
       };
-  } else if (VO.Jobs > 1) {
-    VO.SolverFactory = [this, &Ctx] { return makeBackend(Ctx); };
+  } else {
+    VO.SmtFactory = [this, &Ctx] { return makeBackend(Ctx); };
   }
   // Armed last, right before the run, so setup does not eat into the
   // budget; an expired run settles the rest as "deadline" gave-ups.

@@ -34,7 +34,14 @@
 /// x'1 becomes x'2 on the second run — breaking both report identity and
 /// persistent-cache keys), while the per-configuration PersistentCache
 /// persists across requests (its keys are printed formulas, portable
-/// across contexts). Backpressure is a bounded connection count: a
+/// across contexts). So do its counters: the `persistent cache:` line of
+/// a served `--solver-stats` block is a running total for the daemon's
+/// lifetime, not one request's share (a second served swish reports
+/// `21 hits, 21 appended`), and because that cache is always attached, a
+/// served single-backend run settles through the shared result cache
+/// where a standalone one without `--cache-dir=` does not, so its
+/// `caching solver:` counts differ too. Verdicts and reports are
+/// unaffected. Backpressure is a bounded connection count: a
 /// request past it is refused with a *retryable* error response instead
 /// of queueing unboundedly.
 ///
@@ -202,7 +209,8 @@ std::string verifyJobFingerprint(const VerifyWireRequest &R);
 
 /// Runs one verification job start to finish in a fresh AstContext.
 /// \p PCache may be null; when set it fronts the run's shared result
-/// cache (this is the daemon's warm state).
+/// cache (this is the daemon's warm state), and the stats it renders are
+/// its totals so far, across every job it served.
 VerifyWireResponse runVerifyJob(const VerifyWireRequest &R,
                                 PersistentCache *PCache);
 

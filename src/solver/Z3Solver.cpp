@@ -258,27 +258,42 @@ struct Z3Solver::Impl {
   // (~5ms) used to dominate small-query discharge time, while a push/pop
   // scope on a persistent solver costs microseconds (bench/solver_ablation
   // measures the difference). The persistent context also lets translated
-  // terms be memoized across queries.
-  z3::context C;
-  Translator T;
-  std::optional<z3::solver> S;
+  // terms be memoized across queries. Built by the first query or dump,
+  // so a solver nobody queries costs no context, and a construction error
+  // surfaces as that query's error.
+  struct Engine {
+    z3::context C;
+    Translator T;
+    std::optional<z3::solver> S;
+    explicit Engine(const Interner &Syms) : T(C, Syms) {}
+  };
+  std::optional<Engine> Z;
 
-  Impl(const Interner &Syms, Z3SolverOptions Opts)
-      : Syms(Syms), Opts(Opts), T(C, Syms) {}
+  Impl(const Interner &Syms, Z3SolverOptions Opts) : Syms(Syms), Opts(Opts) {}
+
+  Engine &engine() {
+    if (!Z)
+      Z.emplace(Syms);
+    return *Z;
+  }
 
   z3::solver &solver() {
-    if (!S) {
-      S.emplace(C);
-      z3::params Params(C);
+    Engine &Z = engine();
+    if (!Z.S) {
+      Z.S.emplace(Z.C);
+      z3::params Params(Z.C);
       Params.set("timeout", Opts.TimeoutMs);
-      S->set(Params);
+      Z.S->set(Params);
     }
-    return *S;
+    return *Z.S;
   }
 
   /// After a z3::exception the solver's scope stack is unknown; drop it so
   /// the next query starts from a fresh one.
-  void resetSolver() { S.reset(); }
+  void resetSolver() {
+    if (Z)
+      Z->S.reset();
+  }
 };
 
 namespace {
@@ -350,8 +365,9 @@ Z3Solver::toSmtLib(const std::vector<const BoolExpr *> &Formulas) {
     // A fresh Translator per dump: the script must contain exactly this
     // query's declarations and length axioms, not the axioms accumulated
     // by the persistent query translator.
-    z3::solver S(P->C);
-    Translator T(P->C, P->Syms);
+    z3::context &C = P->engine().C;
+    z3::solver S(C);
+    Translator T(C, P->Syms);
     for (const BoolExpr *F : Formulas)
       S.add(T.trFormula(F));
     for (const z3::expr &Axiom : T.lengthAxioms())
@@ -382,6 +398,7 @@ Z3Solver::checkSatWithModel(const std::vector<const BoolExpr *> &Formulas,
   }
   try {
     z3::solver &S = P->solver();
+    Impl::Engine &Z = P->engine();
     // Cap the per-query timeout by the time the deadline leaves, so a
     // query started just before expiry cannot overrun by a full
     // Opts.TimeoutMs. Unarmed deadlines restore the configured value.
@@ -392,18 +409,18 @@ Z3Solver::checkSatWithModel(const std::vector<const BoolExpr *> &Formulas,
         if (Left < static_cast<int64_t>(EffTimeoutMs))
           EffTimeoutMs = static_cast<unsigned>(Left);
       }
-      z3::params Params(P->C);
+      z3::params Params(Z.C);
       Params.set("timeout", EffTimeoutMs);
       S.set(Params);
     }
     ScopedPush Scope(S);
 
     for (const BoolExpr *F : Formulas)
-      S.add(P->T.trFormula(F));
+      S.add(Z.T.trFormula(F));
     // All accumulated length axioms are added: `a!len >= 0` over an array
     // the query never mentions is a satisfiable constraint on a fresh
     // constant and cannot change the verdict.
-    for (const z3::expr &Axiom : P->T.lengthAxioms())
+    for (const z3::expr &Axiom : Z.T.lengthAxioms())
       S.add(Axiom);
 
     switch (S.check()) {
@@ -419,12 +436,12 @@ Z3Solver::checkSatWithModel(const std::vector<const BoolExpr *> &Formulas,
     z3::model M = S.get_model();
     for (const VarRef &V : Vars) {
       if (V.Kind == VarKind::Int) {
-        z3::expr E = P->T.intConst(V.Name, V.Tag);
+        z3::expr E = Z.T.intConst(V.Name, V.Tag);
         ModelOut.Ints[V] = evalInt(M, E).value_or(0);
         continue;
       }
-      z3::expr Arr = P->T.arrayConst(V.Name, V.Tag);
-      z3::expr Len = P->T.lenConst(V.Name, V.Tag);
+      z3::expr Arr = Z.T.arrayConst(V.Name, V.Tag);
+      z3::expr Len = Z.T.lenConst(V.Name, V.Tag);
       int64_t N = evalInt(M, Len).value_or(0);
       if (N < 0)
         N = 0;
@@ -435,7 +452,7 @@ Z3Solver::checkSatWithModel(const std::vector<const BoolExpr *> &Formulas,
       AV.Elems.reserve(static_cast<size_t>(N));
       for (int64_t I = 0; I != N; ++I)
         AV.Elems.push_back(
-            evalInt(M, z3::select(Arr, P->C.int_val(I))).value_or(0));
+            evalInt(M, z3::select(Arr, Z.C.int_val(I))).value_or(0));
       ModelOut.Arrays[V] = AV;
     }
     return SatResult::Sat;

@@ -51,8 +51,9 @@ struct Z3SolverOptions {
 /// Holds a reference to the interner that produced the formulas' symbols
 /// (variable names are mangled into Z3 constant names).
 ///
-/// One z3::context lives for the solver's lifetime, with translation memos
-/// keyed by hash-consed node identity; consequently an instance must only
+/// One z3::context lives for the solver's lifetime, built by the first
+/// query (or SMT-LIB dump), with translation memos keyed by hash-consed
+/// node identity; consequently an instance must only
 /// be fed formulas from one live AstContext, and is not safe for
 /// concurrent use — the parallel verifier builds one instance per worker.
 class Z3Solver : public Solver {

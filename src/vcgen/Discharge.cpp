@@ -57,17 +57,28 @@ double millisSince(Clock::time_point Start) {
       .count();
 }
 
-/// Re-queries a solver with model extraction; parameterized so portfolio
-/// workers can skip the simplify prefix (which builds nodes and must not
-/// run on a worker thread).
-using ModelQueryFn = std::function<Result<SatResult>(
-    const std::vector<const BoolExpr *> &, const VarRefSet &, Model &)>;
+/// Past-the-end tier index: a range ending here runs to the end of the
+/// chain, whatever its length.
+constexpr size_t AllTiers = static_cast<size_t>(-1);
+
+/// Runs tiers [\p From, \p To) of \p S's chain (clamped to its length),
+/// extracting a model on Sat when \p Vars / \p M are set. A plain backend
+/// is a one-tier chain, so any range containing tier 0 runs it whole.
+Result<SatResult> runTiers(Solver &S, size_t From, size_t To,
+                           const std::vector<const BoolExpr *> &F,
+                           const VarRefSet *Vars, Model *M) {
+  if (auto *P = dynamic_cast<PortfolioSolver *>(&S))
+    return P->checkRange(From, std::min(To, P->tierCount()), F, Vars, M);
+  return Vars && M ? S.checkSatWithModel(F, *Vars, *M) : S.checkSat(F);
+}
 
 /// Maps a sat verdict \p R for \p Out's condition onto a discharge
-/// status and detail. Out.Condition must already be set. \p ModelQuery
-/// supplies the counterexample for a failed validity obligation.
+/// status and detail. Out.Condition must already be set. A failed
+/// validity obligation re-queries tiers [\p ModelFrom, end) of \p S for
+/// its counterexample, with a portfolio's statistics paused so the
+/// re-query does not double-count queries or per-tier settlements.
 void applyVerdict(VCOutcome &Out, const Result<SatResult> &R,
-                  const Interner &Syms, const ModelQueryFn &ModelQuery,
+                  const Interner &Syms, Solver &S, size_t ModelFrom,
                   const std::vector<const BoolExpr *> &Formulas) {
   if (!R.ok()) {
     Out.Status = VCStatus::SolverError;
@@ -84,9 +95,12 @@ void applyVerdict(VCOutcome &Out, const Result<SatResult> &R,
       // Re-query with model extraction so the report shows a concrete
       // witness state (pair) falsifying the obligation.
       Model Counterexample;
+      VarRefSet Vars = freeVars(Out.Condition.Formula);
+      std::optional<PortfolioSolver::ScopedStatsPause> Pause;
+      if (auto *P = dynamic_cast<PortfolioSolver *>(&S))
+        Pause.emplace(*P);
       Result<SatResult> WithModel =
-          ModelQuery(Formulas, freeVars(Out.Condition.Formula),
-                     Counterexample);
+          runTiers(S, ModelFrom, AllTiers, Formulas, &Vars, &Counterexample);
       if (WithModel.ok() && *WithModel == SatResult::Sat)
         Out.Detail = "counterexample: " + formatModel(Syms, Counterexample);
       else
@@ -115,35 +129,6 @@ void applyVerdict(VCOutcome &Out, const Result<SatResult> &R,
   }
 }
 
-ModelQueryFn modelQueryOn(Solver &S) {
-  // A portfolio re-runs its tier chain for the model; pause its stats so
-  // the re-query does not double-count queries / per-tier settlements.
-  if (auto *P = dynamic_cast<PortfolioSolver *>(&S))
-    return [P](const std::vector<const BoolExpr *> &F, const VarRefSet &Vars,
-               Model &M) {
-      PortfolioSolver::ScopedStatsPause Pause(*P);
-      return P->checkSatWithModel(F, Vars, M);
-    };
-  return [&S](const std::vector<const BoolExpr *> &F, const VarRefSet &Vars,
-              Model &M) { return S.checkSatWithModel(F, Vars, M); };
-}
-
-/// Like modelQueryOn, but a portfolio re-query starts at the tier that
-/// settled the original query instead of re-paying every earlier tier's
-/// give-up budget. Only valid right after a settling checkSat/checkRange
-/// on \p S (not after a cache hit, where no tier ran).
-ModelQueryFn modelQueryFromSettledTier(Solver &S) {
-  auto *P = dynamic_cast<PortfolioSolver *>(&S);
-  if (!P || P->lastSettledTier() < 0)
-    return modelQueryOn(S);
-  size_t From = static_cast<size_t>(P->lastSettledTier());
-  return [P, From](const std::vector<const BoolExpr *> &F,
-                   const VarRefSet &Vars, Model &M) {
-    PortfolioSolver::ScopedStatsPause Pause(*P);
-    return P->checkRange(From, P->tierCount(), F, &Vars, &M);
-  };
-}
-
 void appendTrail(std::string &Trail, const std::string &More) {
   if (More.empty())
     return;
@@ -152,13 +137,61 @@ void appendTrail(std::string &Trail, const std::string &More) {
   Trail += More;
 }
 
-/// Rewrites an Unknown outcome's detail when the solver gave up on the
-/// query deadline, so reports (and the driver's give-up summary) name the
-/// reason. Safe after applyVerdict: Unknown means no counterexample
-/// re-query ran, so the solver's last-query state is still this query's.
-void noteDeadline(VCOutcome &Out, const Solver &S) {
-  if (Out.Status == VCStatus::Unknown && S.lastQueryDeadlined())
+/// The one settle step, shared by every discharge path: a shared-cache
+/// lookup, then tiers [\p From, \p To) of \p S on \p Query, then — once
+/// the query is settled — the insert and the verdict mapping. Returns
+/// false, leaving the verdict open, when every tier in a range that stops
+/// short of the chain's end gave up; the caller escalates the obligation
+/// to a later range. \p Out accumulates time, trail and conflicts across
+/// the ranges one obligation passes through; Out.Condition must be set.
+///
+/// \p ModelFloor is the first tier the calling thread may run (tiers
+/// before it build nodes): a verdict served from the cache re-queries for
+/// its counterexample from there, a computed one from the tier that
+/// settled it, so a failed obligation does not re-pay earlier tiers'
+/// give-up budgets. \p S's deadline must already be armed.
+bool settle(VCOutcome &Out, const BoolExpr *Query, Solver &S, size_t From,
+            size_t To, size_t ModelFloor, const Interner &Syms,
+            SharedSolverCache *Shared) {
+  auto Start = Clock::now();
+  std::vector<const BoolExpr *> F{Query};
+  std::optional<SatResult> Cached =
+      Shared ? Shared->lookup(F) : std::nullopt;
+  Result<SatResult> R = Cached ? *Cached : SatResult::Unknown;
+  size_t ModelFrom = ModelFloor;
+  if (Cached) {
+    Out.SettledBy = "cache";
+  } else {
+    R = runTiers(S, From, To, F, nullptr, nullptr);
+    // Captured before the verdict mapping: a counterexample re-query
+    // would overwrite the per-query conflict delta with its own.
+    Out.BoundedConflicts += S.lastQueryBoundedConflicts();
+    if (R.ok()) {
+      appendTrail(Out.Trail, S.giveUpTrail());
+      auto *P = dynamic_cast<PortfolioSolver *>(&S);
+      if (P && !P->lastSettled() && To < P->tierCount()) {
+        Out.Millis += millisSince(Start);
+        return false;
+      }
+      Out.SettledBy = S.settledBy();
+      if (P && P->lastSettledTier() >= 0)
+        ModelFrom = static_cast<size_t>(P->lastSettledTier());
+      // The one insert site. Deadline gave-ups are time-dependent, never
+      // cacheable: a later run of the same query with time left must not
+      // be served "unknown".
+      if (Shared && !S.lastQueryDeadlined())
+        Shared->insert(F, *R);
+    }
+  }
+  applyVerdict(Out, R, Syms, S, ModelFrom, F);
+  // Rewrites an Unknown's detail when the solver gave up on the query
+  // deadline, so reports (and the driver's give-up summary) name the
+  // reason. Unknown ran no counterexample re-query, so the solver's
+  // last-query state is still this query's.
+  if (!Cached && Out.Status == VCStatus::Unknown && S.lastQueryDeadlined())
     Out.Detail = "gave up: deadline expired";
+  Out.Millis += millisSince(Start);
+  return true;
 }
 
 } // namespace
@@ -257,43 +290,7 @@ VCOutcome relax::dischargeVC(const VC &Condition, const BoolExpr *Query,
                              SharedSolverCache *Shared) {
   VCOutcome Out;
   Out.Condition = Condition;
-
-  auto Start = Clock::now();
-  std::vector<const BoolExpr *> Formulas{Query};
-
-  Result<SatResult> R = SatResult::Unknown;
-  bool FromCache = false;
-  if (Shared) {
-    if (std::optional<SatResult> Cached = Shared->lookup(Formulas)) {
-      R = *Cached;
-      FromCache = true;
-    }
-  }
-  if (!FromCache) {
-    R = S.checkSat(Formulas);
-    // Deadline gave-ups are time-dependent, never cacheable: a later run
-    // of the same query with time left must not be served "unknown".
-    if (Shared && R.ok() && !S.lastQueryDeadlined())
-      Shared->insert(Formulas, *R);
-  }
-
-  if (FromCache)
-    Out.SettledBy = "cache";
-  else if (R.ok()) {
-    Out.SettledBy = S.settledBy();
-    Out.Trail = S.giveUpTrail();
-  }
-  // Captured before applyVerdict: a failed validity obligation re-queries
-  // for a counterexample model, which would overwrite the per-query
-  // conflict delta with the re-query's.
-  if (!FromCache)
-    Out.BoundedConflicts = S.lastQueryBoundedConflicts();
-  applyVerdict(Out, R, Syms,
-               FromCache ? modelQueryOn(S) : modelQueryFromSettledTier(S),
-               Formulas);
-  if (!FromCache)
-    noteDeadline(Out, S);
-  Out.Millis = millisSince(Start);
+  settle(Out, Query, S, 0, AllTiers, 0, Syms, Shared);
   return Out;
 }
 
@@ -304,8 +301,8 @@ VCOutcome relax::dischargeVC(const VC &Condition, const BoolExpr *Query,
 DischargeScheduler::DischargeScheduler(AstContext &Ctx, Config Cfg)
     : Ctx(Ctx), Cfg(std::move(Cfg)) {
   if (this->Cfg.Portfolio)
-    MainPortfolio = std::make_unique<PortfolioSolver>(
-        Ctx, *this->Cfg.Portfolio, this->Cfg.SmtFactory);
+    Workers.push_back(std::make_unique<PortfolioSolver>(
+        Ctx, *this->Cfg.Portfolio, this->Cfg.SmtFactory));
   if (this->Cfg.PCache)
     Shared.attachPersistent(this->Cfg.PCache, &Ctx.symbols());
 }
@@ -320,15 +317,19 @@ Deadline DischargeScheduler::perVcDeadline() const {
 }
 
 DischargeStats DischargeScheduler::stats() const {
-  DischargeStats S = WorkerAccum;
-  if (MainPortfolio) {
-    S.Portfolio.merge(MainPortfolio->stats());
-    S.BoundedCandidates += MainPortfolio->boundedCandidates();
-    S.BoundedQuantSteps += MainPortfolio->boundedQuantSteps();
-    S.Search.merge(MainPortfolio->boundedSearchStats());
-  }
-  S.SharedCacheHits += Shared.hitCount();
-  S.SharedCacheMisses += Shared.missCount();
+  DischargeStats S;
+  if (Cfg.Portfolio)
+    for (const std::unique_ptr<Solver> &W : Workers) {
+      const auto &P = static_cast<const PortfolioSolver &>(*W);
+      S.Portfolio.merge(P.stats());
+      S.BoundedCandidates += P.boundedCandidates();
+      S.BoundedQuantSteps += P.boundedQuantSteps();
+      S.Search.merge(P.boundedSearchStats());
+    }
+  S.SharedCacheHits = Shared.hitCount();
+  S.SharedCacheMisses = Shared.missCount();
+  S.EscalatedObligations = Escalated;
+  S.StolenTasks = Stolen;
   return S;
 }
 
@@ -348,25 +349,23 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
 
   std::vector<VCOutcome> Outcomes(VCs.size());
 
-  unsigned Jobs = Cfg.Jobs;
-  if (!portfolioMode() && !Cfg.SolverFactory)
-    Jobs = 1;
-  if (Jobs > VCs.size())
-    Jobs = static_cast<unsigned>(VCs.size());
-
-  if (Jobs > 1) {
-    dischargeParallel(VCs, Queries, Outcomes);
-  } else if (portfolioMode()) {
-    dischargeSequentialPortfolio(VCs, Queries, Outcomes);
+  // Single-backend workers are built by SmtFactory; without one the run
+  // stays on the constructor-supplied backend.
+  size_t Jobs = std::min<size_t>(Cfg.Jobs, VCs.size());
+  if (Jobs > 1 && (Cfg.Portfolio || Cfg.SmtFactory)) {
+    for (size_t I = 0; I != VCs.size(); ++I)
+      Outcomes[I].Condition = VCs[I];
+    dischargeParallel(Queries, Outcomes);
   } else {
-    // The classic single-backend sequential path, kept cache-free so a
-    // driver's CachingSolver wrapper observes every query — unless a
-    // persistent cache is armed, which must front every configuration.
-    SharedSolverCache *SharedOrNull = Cfg.PCache ? &Shared : nullptr;
+    // Depth-first: each obligation runs the whole chain before the next.
+    // The single-backend path stays cache-free so a driver's
+    // CachingSolver wrapper observes every query — unless a persistent
+    // cache is armed, which must front every configuration.
+    Solver &S = Cfg.Portfolio ? *Workers[0] : Fallback;
+    SharedSolverCache *Cache = Cfg.Portfolio || Cfg.PCache ? &Shared : nullptr;
     for (size_t I = 0; I != VCs.size(); ++I) {
-      Fallback.setDeadline(perVcDeadline());
-      Outcomes[I] = dischargeVC(VCs[I], Queries[I], Fallback, Ctx.symbols(),
-                                SharedOrNull);
+      S.setDeadline(perVcDeadline());
+      Outcomes[I] = dischargeVC(VCs[I], Queries[I], S, Ctx.symbols(), Cache);
     }
   }
 
@@ -377,77 +376,46 @@ void DischargeScheduler::discharge(VCSet Set, JudgmentReport &Report,
   }
 }
 
-void DischargeScheduler::dischargeSequentialPortfolio(
-    std::vector<VC> &VCs, const std::vector<const BoolExpr *> &Qs,
-    std::vector<VCOutcome> &Outcomes) {
-  for (size_t I = 0; I != VCs.size(); ++I) {
-    MainPortfolio->setDeadline(perVcDeadline());
-    Outcomes[I] =
-        dischargeVC(VCs[I], Qs[I], *MainPortfolio, Ctx.symbols(), &Shared);
-  }
-}
-
 void DischargeScheduler::dischargeParallel(
-    std::vector<VC> &VCs, const std::vector<const BoolExpr *> &Qs,
-    std::vector<VCOutcome> &Outcomes) {
+    const std::vector<const BoolExpr *> &Qs, std::vector<VCOutcome> &Outcomes) {
   const Interner &Syms = Ctx.symbols();
-  size_t N = VCs.size();
+  size_t N = Qs.size();
 
-  // Portfolio stage boundaries: [0, FW) prepare-time simplify prefix,
-  // [FW, FE) inline on the submitting worker, [FE, NT) escalation queue.
-  size_t FW = 0, FE = 0, NT = 0;
-  if (portfolioMode()) {
-    FW = MainPortfolio->firstWorkerTier();
-    FE = MainPortfolio->firstEscalationTier();
-    NT = MainPortfolio->tierCount();
+  // Stage boundaries over the chain: [0, FW) the prepare-time simplify
+  // prefix, [FW, FE) inline on the worker that pops the obligation,
+  // [FE, end) the escalation queue. A single backend is the one-stage
+  // chain [0, 1), so all of it runs inline.
+  size_t FW = 0, FE = AllTiers;
+  if (Cfg.Portfolio) {
+    const auto &Main = static_cast<const PortfolioSolver &>(*Workers[0]);
+    FW = Main.firstWorkerTier();
+    FE = Main.firstEscalationTier();
   }
 
-  std::vector<std::string> Trails(N);
+  // Prepare stage on this thread: the simplify tier builds nodes, so it
+  // cannot run on a worker.
   std::vector<size_t> Pending;
   Pending.reserve(N);
-
-  if (portfolioMode() && FW > 0) {
-    // Prepare stage on this thread: the simplify tier builds nodes, so it
-    // cannot run on a worker. Cache first, mirroring the sequential path.
-    for (size_t I = 0; I != N; ++I) {
-      auto Start = Clock::now();
-      std::vector<const BoolExpr *> F{Qs[I]};
-      Outcomes[I].Condition = VCs[I];
-      if (std::optional<SatResult> Cached = Shared.lookup(F)) {
-        Outcomes[I].SettledBy = "cache";
-        applyVerdict(Outcomes[I], Result<SatResult>(*Cached), Syms,
-                     modelQueryOn(*MainPortfolio), F);
-        Outcomes[I].Millis += millisSince(Start);
+  for (size_t I = 0; I != N; ++I) {
+    if (FW > 0) {
+      Workers[0]->setDeadline(perVcDeadline());
+      if (settle(Outcomes[I], Qs[I], *Workers[0], 0, FW, 0, Syms, &Shared))
         continue;
-      }
-      MainPortfolio->setDeadline(perVcDeadline());
-      Result<SatResult> R =
-          MainPortfolio->checkRange(0, FW, F, nullptr, nullptr);
-      Outcomes[I].BoundedConflicts +=
-          MainPortfolio->lastQueryBoundedConflicts();
-      if (MainPortfolio->lastSettled() || !R.ok()) {
-        Outcomes[I].SettledBy = MainPortfolio->settledBy();
-        Outcomes[I].Trail = MainPortfolio->giveUpTrail();
-        if (R.ok() && !MainPortfolio->lastQueryDeadlined())
-          Shared.insert(F, *R);
-        applyVerdict(Outcomes[I], R, Syms, modelQueryOn(*MainPortfolio), F);
-        noteDeadline(Outcomes[I], *MainPortfolio);
-        Outcomes[I].Millis += millisSince(Start);
-        continue;
-      }
-      Trails[I] = MainPortfolio->giveUpTrail();
-      Outcomes[I].Millis += millisSince(Start);
-      Pending.push_back(I);
     }
-  } else {
-    for (size_t I = 0; I != N; ++I)
-      Pending.push_back(I);
+    Pending.push_back(I);
   }
   if (Pending.empty())
     return;
 
   unsigned Jobs =
       static_cast<unsigned>(std::min<size_t>(Cfg.Jobs, Pending.size()));
+  // Worker solvers live as long as the scheduler, so both passes share
+  // each worker's contexts and memos.
+  while (Workers.size() < Jobs)
+    Workers.push_back(Cfg.Portfolio
+                          ? std::make_unique<PortfolioSolver>(
+                                Ctx, *Cfg.Portfolio, Cfg.SmtFactory)
+                          : Cfg.SmtFactory());
 
   // Per-worker deques, round-robin seeded. Owners pop the front; thieves
   // pop the back, so a steal grabs the work its owner would reach last.
@@ -465,8 +433,7 @@ void DischargeScheduler::dischargeParallel(
   std::vector<size_t> Esc; // guarded by EscM; never shrinks
   size_t EscNext = 0;      // guarded by EscM
   std::atomic<uint64_t> Steals{0};
-  std::atomic<uint64_t> Escalated{0};
-  std::mutex StatsM; // guards WorkerAccum merging at worker exit
+  std::atomic<uint64_t> Escalations{0};
 
   auto PopOwn = [&](unsigned W, size_t &I) {
     std::lock_guard<std::mutex> L(Deques[W].M);
@@ -504,96 +471,20 @@ void DischargeScheduler::dischargeParallel(
   };
 
   auto WorkerFn = [&](unsigned W) {
-    std::unique_ptr<Solver> Single;
-    std::unique_ptr<PortfolioSolver> Port;
-    if (portfolioMode())
-      Port = std::make_unique<PortfolioSolver>(Ctx, *Cfg.Portfolio,
-                                               Cfg.SmtFactory);
-    else
-      Single = Cfg.SolverFactory();
-
+    Solver &S = *Workers[W];
     // Model re-queries on a worker must skip the simplify prefix (it
     // builds nodes); the query already failed to fold there anyway.
-    // \p From picks the first tier to re-run: FW for cache-served
-    // verdicts (no tier ran), the settling tier otherwise — so a failed
-    // obligation does not re-pay earlier tiers' give-up budgets.
-    auto WorkerModelAt = [&](size_t From) {
-      return ModelQueryFn([&, From](const std::vector<const BoolExpr *> &F,
-                                    const VarRefSet &Vars, Model &M) {
-        PortfolioSolver::ScopedStatsPause Pause(*Port);
-        return Port->checkRange(From, NT, F, &Vars, &M);
-      });
+    auto RunStage = [&](size_t I, size_t From, size_t To) {
+      S.setDeadline(perVcDeadline());
+      return settle(Outcomes[I], Qs[I], S, From, To, FW, Syms, &Shared);
     };
-    ModelQueryFn WorkerModelQuery =
-        Port ? WorkerModelAt(FW) : modelQueryOn(*Single);
-    auto SettledTierOr = [&](size_t Fallback) {
-      return Port->lastSettledTier() < 0
-                 ? Fallback
-                 : static_cast<size_t>(Port->lastSettledTier());
-    };
-
     auto RunInline = [&](size_t I) {
-      if (!portfolioMode()) {
-        Single->setDeadline(perVcDeadline());
-        Outcomes[I] = dischargeVC(VCs[I], Qs[I], *Single, Syms, &Shared);
-        return;
+      if (!RunStage(I, FW, FE)) {
+        Escalations.fetch_add(1);
+        PushEsc(I);
       }
-      auto Start = Clock::now();
-      std::vector<const BoolExpr *> F{Qs[I]};
-      Outcomes[I].Condition = VCs[I];
-      if (std::optional<SatResult> Cached = Shared.lookup(F)) {
-        Outcomes[I].SettledBy = "cache";
-        Outcomes[I].Trail = Trails[I];
-        applyVerdict(Outcomes[I], Result<SatResult>(*Cached), Syms,
-                     WorkerModelQuery, F);
-        Outcomes[I].Millis += millisSince(Start);
-        return;
-      }
-      Port->setDeadline(perVcDeadline());
-      Result<SatResult> R = Port->checkRange(FW, FE, F, nullptr, nullptr);
-      Outcomes[I].BoundedConflicts += Port->lastQueryBoundedConflicts();
-      appendTrail(Trails[I], Port->giveUpTrail());
-      if (Port->lastSettled() || !R.ok() || FE == NT) {
-        Outcomes[I].SettledBy = Port->settledBy();
-        Outcomes[I].Trail = Trails[I];
-        if (R.ok() && !Port->lastQueryDeadlined())
-          Shared.insert(F, *R);
-        applyVerdict(Outcomes[I], R, Syms, WorkerModelAt(SettledTierOr(FW)),
-                     F);
-        noteDeadline(Outcomes[I], *Port);
-        Outcomes[I].Millis += millisSince(Start);
-        return;
-      }
-      Outcomes[I].Millis += millisSince(Start);
-      Escalated.fetch_add(1);
-      PushEsc(I);
     };
-
-    auto RunEscalated = [&](size_t I) {
-      auto Start = Clock::now();
-      std::vector<const BoolExpr *> F{Qs[I]};
-      if (std::optional<SatResult> Cached = Shared.lookup(F)) {
-        // A duplicate settled elsewhere while this one sat queued.
-        Outcomes[I].SettledBy = "cache";
-        Outcomes[I].Trail = Trails[I];
-        applyVerdict(Outcomes[I], Result<SatResult>(*Cached), Syms,
-                     WorkerModelQuery, F);
-        Outcomes[I].Millis += millisSince(Start);
-        return;
-      }
-      Port->setDeadline(perVcDeadline());
-      Result<SatResult> R = Port->checkRange(FE, NT, F, nullptr, nullptr);
-      Outcomes[I].BoundedConflicts += Port->lastQueryBoundedConflicts();
-      appendTrail(Trails[I], Port->giveUpTrail());
-      if (R.ok() && !Port->lastQueryDeadlined())
-        Shared.insert(F, *R);
-      Outcomes[I].SettledBy = Port->settledBy();
-      Outcomes[I].Trail = Trails[I];
-      applyVerdict(Outcomes[I], R, Syms, WorkerModelAt(SettledTierOr(FE)),
-                   F);
-      noteDeadline(Outcomes[I], *Port);
-      Outcomes[I].Millis += millisSince(Start);
-    };
+    auto RunEscalated = [&](size_t I) { RunStage(I, FE, AllTiers); };
 
     // Escalations are pushed before the primary counter is decremented,
     // so once PrimaryRemaining reads 0 every escalation is visible.
@@ -642,14 +533,6 @@ void DischargeScheduler::dischargeParallel(
         return EscNext != Esc.size() || PrimaryRemaining.load() == 0;
       });
     }
-
-    if (Port) {
-      std::lock_guard<std::mutex> L(StatsM);
-      WorkerAccum.Portfolio.merge(Port->stats());
-      WorkerAccum.BoundedCandidates += Port->boundedCandidates();
-      WorkerAccum.BoundedQuantSteps += Port->boundedQuantSteps();
-      WorkerAccum.Search.merge(Port->boundedSearchStats());
-    }
   };
 
   std::vector<std::thread> Pool;
@@ -660,6 +543,6 @@ void DischargeScheduler::dischargeParallel(
   for (std::thread &T : Pool)
     T.join();
 
-  WorkerAccum.StolenTasks += Steals.load();
-  WorkerAccum.EscalatedObligations += Escalated.load();
+  Stolen += Steals.load();
+  Escalated += Escalations.load();
 }

@@ -19,15 +19,31 @@
 ///
 /// ## Scheduling model
 ///
-/// VC generation is sequential (hash-consed node construction is not
-/// thread-safe), so queries — including the negations of validity VCs and
-/// any simplify-tier work — are prepared on the submitting thread before
-/// the fan-out. Workers then pull obligation indices from per-worker
-/// deques, stealing from a victim's deque when their own runs dry. In
-/// portfolio mode each worker runs the cheap tiers (the budgeted bounded
-/// search) inline; obligations every cheap tier gave up on are pushed to
-/// a shared escalation queue, drained — also cooperatively — by whichever
-/// workers go idle first, each owning its expensive final-tier backend.
+/// Every discharge path runs one settle step (Discharge.cpp): a
+/// shared-cache lookup, a range of tiers, the cache insert — the only
+/// one, skipped for deadline gave-ups — and the verdict mapping with its
+/// counterexample re-query. A plain backend is a one-tier chain.
+///
+/// With one worker the scheduler goes depth-first: each obligation runs
+/// the whole chain before the next starts, on the main portfolio (or, in
+/// single-backend mode, the constructor-supplied backend). With more,
+/// VC generation stays sequential (hash-consed node construction is not
+/// thread-safe), so queries — including the negations of validity VCs
+/// and any simplify-tier work — are prepared on the submitting thread
+/// before the fan-out. Workers then pull obligation indices from
+/// per-worker deques, stealing from a victim's deque when their own runs
+/// dry. Each worker runs the cheap tiers (the budgeted bounded search)
+/// inline; obligations every cheap tier gave up on are pushed to a shared
+/// escalation queue, drained — also cooperatively — by whichever workers
+/// go idle first. A single backend runs whole in the inline stage.
+///
+/// Worker solvers are built once per scheduler, on first need, and kept
+/// for its lifetime, so both judgment passes of a run share them.
+/// Worker 0 is the main portfolio; single-backend workers come from
+/// `Config::SmtFactory`. A worker's Z3 context therefore spans both
+/// passes, and the model Z3 returns for a counterexample depends on the
+/// queries that context answered before — so a failed obligation's
+/// `Detail` may differ between `Jobs` values while its status does not.
 ///
 /// ## The verdict-identity rule
 ///
@@ -51,7 +67,6 @@
 #include "solver/Portfolio.h"
 #include "vcgen/VC.h"
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -160,11 +175,12 @@ std::string persistentCacheKey(const std::string &Fingerprint,
 /// must run on the thread that owns the AstContext.
 const BoolExpr *vcQuery(AstContext &Ctx, const VC &C);
 
-/// Discharges one VC whose solver query \p Query was pre-built. The one
-/// shared verdict mapping: the sequential verifier path, the scheduler's
-/// workers, and the proof checker's re-discharge all call this, so they
-/// produce identical verdicts and diagnostics. Workers must not touch the
-/// AstContext: \p Syms is only read, and freeVars/formatModel are pure.
+/// Discharges one VC whose solver query \p Query was pre-built: the
+/// settle step over \p S's whole tier chain. The scheduler's stages run
+/// the same step over sub-ranges of the chain, and the proof checker's
+/// re-discharge calls this, so every path produces identical verdicts
+/// and diagnostics. Workers must not touch the AstContext: \p Syms is
+/// only read, and freeVars/formatModel are pure.
 VCOutcome dischargeVC(const VC &Condition, const BoolExpr *Query, Solver &S,
                       const Interner &Syms, SharedSolverCache *Shared);
 
@@ -192,12 +208,11 @@ public:
     unsigned Jobs = 1;
     /// Tier chain for portfolio mode; nullopt = single-backend mode.
     std::optional<PortfolioOptions> Portfolio;
-    /// Final-tier SMT backend factory for portfolio mode (null degrades
-    /// the z3 tier to bounded-at-full-domain).
+    /// Builds the final backend: the `z3` tier's backend in portfolio
+    /// mode (null degrades that tier to bounded-at-full-domain), each
+    /// parallel worker's backend in single-backend mode (null forces
+    /// Jobs to 1 there).
     PortfolioSolver::BackendFactory SmtFactory;
-    /// Per-worker backend factory for single-backend parallel mode; when
-    /// null, Jobs is forced to 1.
-    std::function<std::unique_ptr<Solver>()> SolverFactory;
     /// Global deadline for the whole run (`--timeout-ms`); unarmed means
     /// none. Obligations reached after expiry settle immediately as
     /// gave-ups with reason "deadline" — the scheduler drains
@@ -215,39 +230,31 @@ public:
   DischargeScheduler(AstContext &Ctx, Config Cfg);
   ~DischargeScheduler();
 
-  bool portfolioMode() const { return Cfg.Portfolio.has_value(); }
-
   /// Discharges \p Set into \p Report, outcomes in VC order. \p Fallback
-  /// is the classic constructor-supplied backend, used for the
-  /// single-backend sequential path (kept cache-free there so a driver's
-  /// CachingSolver wrapper observes every query, exactly as before the
-  /// scheduler existed).
+  /// is the constructor-supplied backend of the single-backend Jobs=1
+  /// path (kept cache-free there so a driver's CachingSolver wrapper
+  /// observes every query, unless a persistent cache is armed).
   void discharge(VCSet Set, JudgmentReport &Report, Solver &Fallback);
 
-  /// Statistics accumulated so far.
+  /// Statistics accumulated so far, read live from the worker solvers.
   DischargeStats stats() const;
 
 private:
   AstContext &Ctx;
   Config Cfg;
   SharedSolverCache Shared;
-  /// Runs the simplify prefix at prepare time and the whole chain on the
-  /// sequential portfolio path; also the model backend for cache-hit
-  /// counterexamples settled on the submitting thread.
-  std::unique_ptr<PortfolioSolver> MainPortfolio;
-  /// Stats merged from joined workers (worker solvers die with their
-  /// threads; MainPortfolio and the cache are read live in stats()).
-  DischargeStats WorkerAccum;
+  /// Discharge solvers, Workers[W] serving worker W for the scheduler's
+  /// lifetime. In portfolio mode Workers[0] is the main portfolio, built
+  /// up front: it also runs the prepare stage and the Jobs=1 path.
+  std::vector<std::unique_ptr<Solver>> Workers;
+  uint64_t Escalated = 0; ///< obligations queued past the inline stage
+  uint64_t Stolen = 0;    ///< obligations run by a non-owner worker
 
   /// The deadline one obligation runs under right now: the global
   /// deadline capped by a freshly armed per-VC timeout.
   Deadline perVcDeadline() const;
 
-  void dischargeSequentialPortfolio(std::vector<VC> &VCs,
-                                    const std::vector<const BoolExpr *> &Qs,
-                                    std::vector<VCOutcome> &Outcomes);
-  void dischargeParallel(std::vector<VC> &VCs,
-                         const std::vector<const BoolExpr *> &Qs,
+  void dischargeParallel(const std::vector<const BoolExpr *> &Qs,
                          std::vector<VCOutcome> &Outcomes);
 };
 

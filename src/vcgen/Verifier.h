@@ -18,8 +18,8 @@
 ///  * Relaxed Progress Modulo Original Assumptions (Corollary 9).
 ///
 /// Discharging goes through the `DischargeScheduler` (vcgen/Discharge.h):
-/// either the classic single-backend path on the constructor-supplied
-/// solver, or — when `Options::Portfolio` is set — the tiered portfolio
+/// either a single backend (the constructor-supplied solver at Jobs=1),
+/// or — when `Options::Portfolio` is set — the tiered portfolio
 /// pipeline (simplify → budgeted bounded → SMT, with the final tier
 /// optionally sharded onto a worker-process pool via
 /// `PortfolioOptions::Pool`), optionally fanned out over a work-stealing
@@ -35,7 +35,6 @@
 #include "vcgen/Discharge.h"
 #include "vcgen/RelationalVCGen.h"
 
-#include <functional>
 #include <memory>
 
 namespace relax {
@@ -76,18 +75,17 @@ public:
     bool RunOriginal = true;
     bool RunRelaxed = true;
     /// Number of discharge workers. 1 means the sequential path; > 1
-    /// requires a SolverFactory (single-backend mode) or a Portfolio.
+    /// requires a Portfolio or, in single-backend mode, an SmtFactory.
     unsigned Jobs = 1;
-    /// Creates one backend per worker for the single-backend parallel
-    /// path (backends are not safe for concurrent use). In portfolio
-    /// mode this is unused — set SmtFactory instead.
-    std::function<std::unique_ptr<Solver>()> SolverFactory;
     /// Tier chain for the portfolio pipeline. When set, discharging runs
     /// through per-worker PortfolioSolvers and the constructor-supplied
     /// solver is not consulted.
     std::optional<PortfolioOptions> Portfolio;
-    /// Final-tier SMT backend factory for the portfolio; null degrades
-    /// the z3 tier to bounded-at-full-domain.
+    /// Builds the final backend. In portfolio mode that is the `z3`
+    /// tier's backend (null degrades the tier to bounded-at-full-domain);
+    /// in single-backend mode it is each parallel worker's backend (null
+    /// keeps the run on the constructor-supplied solver). Every solver
+    /// it builds serves one worker for the whole run, both passes.
     PortfolioSolver::BackendFactory SmtFactory;
     /// When non-null, the run's discharge statistics (per-tier settled /
     /// escalated counts, cache hits, work counters) are merged here.

@@ -161,7 +161,7 @@ TEST_P(ExampleJobsDifferential, ParallelVerdictsMatchSequential) {
   Verifier ParV(*P.Ctx, *P.Prog, Unused, P.Diags);
   Verifier::Options ParOpts;
   ParOpts.Jobs = 4;
-  ParOpts.SolverFactory = [&P] {
+  ParOpts.SmtFactory = [&P] {
     return std::make_unique<Z3Solver>(P.Ctx->symbols());
   };
   VerifyReport Par = ParV.run(ParOpts);

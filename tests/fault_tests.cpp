@@ -286,29 +286,52 @@ TEST(DeadlineTest, PortfolioSettlesExpiredQueriesWithoutRunningTiers) {
 TEST(DeadlineTest, SchedulerSettlesExpiredRunAsDeadlineGaveUps) {
   // A whole verification run under an already-expired global deadline:
   // every obligation must settle (complete report, no hang) as an
-  // Unknown whose detail names the deadline.
-  relax::test::ParsedProgram P = relax::test::parseProgram(
-      "int x;\n"
-      "requires (x >= 0 && x <= 2);\n"
-      "{ assert x >= 0; }\n");
+  // Unknown whose detail names the deadline. swish's two passes share
+  // obligations, and deadline gave-ups are never cached, so no duplicate
+  // may be served from the shared cache — on every discharge path: Jobs 1
+  // and 4, single-backend and portfolio mode.
+  RELAXC_SLURP_EXAMPLE_OR_SKIP(Source, "swish.rlx");
+  relax::test::ParsedProgram P = relax::test::parseProgram(Source);
   ASSERT_TRUE(P.ok()) << P.diagnostics();
 
-  BoundedSolver Dummy;
-  DiagnosticEngine Diags;
-  Verifier V(*P.Ctx, *P.Prog, Dummy, Diags);
-  Verifier::Options VO;
-  PortfolioOptions PO;
-  PO.Tiers = {TierKind::Simplify, TierKind::Bounded};
-  VO.Portfolio = PO;
-  VO.GlobalDeadline = Deadline::inMs(0);
-  VerifyReport Report = V.run(VO);
+  auto Run = [&](bool Portfolio, unsigned Jobs, Deadline D,
+                 DischargeStats &Stats) {
+    BoundedSolver Fallback;
+    DiagnosticEngine Diags;
+    Verifier V(*P.Ctx, *P.Prog, Fallback, Diags);
+    Verifier::Options VO;
+    VO.Jobs = Jobs;
+    if (Portfolio) {
+      PortfolioOptions PO;
+      PO.Tiers = {TierKind::Simplify, TierKind::Bounded};
+      VO.Portfolio = PO;
+    } else {
+      VO.SmtFactory = [] { return std::make_unique<BoundedSolver>(); };
+    }
+    VO.GlobalDeadline = D;
+    VO.StatsOut = &Stats;
+    return V.run(VO);
+  };
 
-  ASSERT_GT(Report.totalVCs(), 0u);
-  EXPECT_FALSE(Report.verified());
-  for (const JudgmentReport *J : {&Report.Original, &Report.Relaxed})
-    for (const VCOutcome &O : J->Outcomes) {
-      EXPECT_EQ(O.Status, VCStatus::Unknown) << O.Detail;
-      EXPECT_NE(O.Detail.find("deadline"), std::string::npos) << O.Detail;
+  // The control: with time left, the shared obligations do hit.
+  DischargeStats Warm;
+  Run(/*Portfolio=*/true, 1, Deadline(), Warm);
+  ASSERT_GT(Warm.SharedCacheHits, 0u) << "swish's passes share no obligation";
+
+  for (bool Portfolio : {false, true})
+    for (unsigned Jobs : {1u, 4u}) {
+      SCOPED_TRACE(std::string(Portfolio ? "portfolio" : "single-backend") +
+                   " Jobs=" + std::to_string(Jobs));
+      DischargeStats Stats;
+      VerifyReport Report = Run(Portfolio, Jobs, Deadline::inMs(0), Stats);
+      ASSERT_GT(Report.totalVCs(), 0u);
+      EXPECT_FALSE(Report.verified());
+      for (const JudgmentReport *J : {&Report.Original, &Report.Relaxed})
+        for (const VCOutcome &O : J->Outcomes) {
+          EXPECT_EQ(O.Status, VCStatus::Unknown) << O.Detail;
+          EXPECT_EQ(O.Detail, "gave up: deadline expired");
+        }
+      EXPECT_EQ(Stats.SharedCacheHits, 0u);
     }
 }
 

@@ -258,7 +258,7 @@ TEST(ParallelVerifier, VerdictsMatchSequential) {
     Verifier ParV(*P.Ctx, *P.Prog, Unused, P.Diags);
     Verifier::Options ParOpts;
     ParOpts.Jobs = 4;
-    ParOpts.SolverFactory = [] { return std::make_unique<BoundedSolver>(); };
+    ParOpts.SmtFactory = [] { return std::make_unique<BoundedSolver>(); };
     VerifyReport Par = ParV.run(ParOpts);
 
     EXPECT_EQ(Seq.verified(), Par.verified()) << Source;
@@ -289,7 +289,7 @@ TEST(ParallelVerifier, VerdictsMatchSequentialWithZ3) {
     Verifier ParV(*P.Ctx, *P.Prog, Unused, P.Diags);
     Verifier::Options ParOpts;
     ParOpts.Jobs = 3;
-    ParOpts.SolverFactory = [&P] {
+    ParOpts.SmtFactory = [&P] {
       return std::make_unique<Z3Solver>(P.Ctx->symbols());
     };
     VerifyReport Par = ParV.run(ParOpts);

@@ -28,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 using namespace relax;
 
 namespace {
@@ -355,6 +357,44 @@ TEST(PortfolioScheduler, SequentialAndWorkStealingDischargeIdentically) {
     VerifyReport Seq = RunWith(1);
     VerifyReport Par = RunWith(4);
     expectIdenticalReports(Seq, Par, Name);
+  }
+}
+
+/// Worker solvers are built once per run, not once per pass: at Jobs=3
+/// a run over both passes builds three final backends, in single-backend
+/// mode (one per worker) and in portfolio mode (the main portfolio's,
+/// which is worker 0, plus one per extra worker).
+TEST(PortfolioScheduler, WorkerSolversAreBuiltOncePerRun) {
+  relax::test::ParsedProgram P = relax::test::parseProgram(
+      "int x, y;\n"
+      "requires (x >= 0 && x <= 2 && y >= 0 && y <= 2);\n"
+      "{ assert x >= 0; assert y >= 0; assert x + y >= 0;\n"
+      "  relax (x) st (x >= 0 && x <= 2);\n"
+      "  assert x <= 2; assert x + y <= 4; }\n");
+  ASSERT_TRUE(P.ok()) << P.diagnostics();
+  for (bool Portfolio : {false, true}) {
+    SCOPED_TRACE(Portfolio ? "portfolio" : "single-backend");
+    std::atomic<unsigned> Built{0};
+    BoundedSolver Fallback;
+    DiagnosticEngine Diags;
+    Verifier V(*P.Ctx, *P.Prog, Fallback, Diags);
+    Verifier::Options VO;
+    VO.Jobs = 3;
+    if (Portfolio) {
+      // No simplify prefix, so every obligation reaches the workers.
+      PortfolioOptions PO;
+      PO.Tiers = {TierKind::Smt};
+      VO.Portfolio = PO;
+    }
+    VO.SmtFactory = [&Built] {
+      ++Built;
+      return std::make_unique<BoundedSolver>();
+    };
+    VerifyReport R = V.run(VO);
+    EXPECT_TRUE(R.verified()) << renderReport(R, P.Ctx->symbols());
+    ASSERT_GE(R.Original.Outcomes.size(), 3u);
+    ASSERT_GE(R.Relaxed.Outcomes.size(), 3u);
+    EXPECT_EQ(Built.load(), 3u);
   }
 }
 
