@@ -263,6 +263,8 @@ private:
   unsigned Active = 0;
   std::mutex CacheM;
   std::map<std::string, std::unique_ptr<PersistentCache>> Caches;
+  /// A job since the last trim reached the solvers (see handleVerify).
+  std::atomic<bool> SolverHeapHeld{false};
 };
 
 } // namespace relax
